@@ -35,6 +35,7 @@ integer (counts, floor-cents) or exact (max / direct values), with
 from __future__ import annotations
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -43,7 +44,9 @@ import pandas as pd
 import ray
 import ray.data
 
-from .core import hash_coexchange, partitioned_map_groups, split_refs, ts_epoch_us
+from .core import hash_coexchange, hash_exchange, split_refs, ts_epoch_us
+
+_LOG = logging.getLogger(__name__)
 
 
 US = 1_000_000
@@ -253,7 +256,7 @@ def range_join_error_window(
             {"event_id": np.int64, "n_hits": np.int64, "hit_cents": np.int64}
         )
 
-    return partitioned_map_groups(partials, "event_id", finalize, num_buckets=8)
+    return hash_exchange(partials, "event_id", finalize, num_buckets=8)
 
 
 SQL_RANGE_JOIN_ERROR_WINDOW = """
@@ -530,7 +533,7 @@ def quantiles_cont_by_flag(sf_dir: str) -> ray.data.Dataset:
             out, columns=["l_returnflag", "q", "value"]
         ).astype({"q": np.float64, "value": np.float64})
 
-    return partitioned_map_groups(ds, "l_returnflag", per_group,
+    return hash_exchange(ds, "l_returnflag", per_group,
                                   num_buckets=4)
 
 
@@ -636,7 +639,7 @@ def quantiles_by_flag(sf_dir: str) -> ray.data.Dataset:
             {"q": np.float64, "value": np.float64}
         )
 
-    return partitioned_map_groups(ds, "l_returnflag", per_group, num_buckets=4)
+    return hash_exchange(ds, "l_returnflag", per_group, num_buckets=4)
 
 
 SQL_QUANTILES_BY_FLAG = """
@@ -828,7 +831,7 @@ def json_props_sum(sf_dir: str) -> ray.data.Dataset:
         g = df.groupby("event_type", as_index=False).agg(k_sum=("k_sum", "sum"))
         return g.astype({"k_sum": np.int64})
 
-    return partitioned_map_groups(partials, "event_type", final, num_buckets=4)
+    return hash_exchange(partials, "event_type", final, num_buckets=4)
 
 
 SQL_JSON_PROPS_SUM = """
@@ -877,7 +880,7 @@ def _customer_supplier_edges(sf_dir: str) -> ray.data.Dataset:
     def dedup_pairs(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates("pair", ignore_index=True)[["a", "b"]]
 
-    pairs = partitioned_map_groups(pairs_raw, "pair", dedup_pairs, num_buckets=16)
+    pairs = hash_exchange(pairs_raw, "pair", dedup_pairs, num_buckets=16)
 
     def symmetrize(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -915,7 +918,7 @@ def pagerank_over_edges(
         g = df.groupby("src", as_index=False).size()
         return g.rename(columns={"src": "node", "size": "deg"}).astype({"deg": np.int64})
 
-    nodes = partitioned_map_groups(edges, "src", degree, num_buckets=8).materialize()
+    nodes = hash_exchange(edges, "src", degree, num_buckets=8).materialize()
     n = nodes.count()
     if n == 0:  # empty graph: no nodes, no ranks
         return ray.data.from_pandas(
@@ -1054,7 +1057,7 @@ def bfs_hops(
              "hops": np.zeros(int(is_seed.sum()), dtype=np.int64)}
         )
 
-    dist = partitioned_map_groups(edges, "src", seed_fn, num_buckets=8)
+    dist = hash_exchange(edges, "src", seed_fn, num_buckets=8)
 
     for t in range(1, max_hops + 1):
 
@@ -1175,7 +1178,7 @@ def _copurchase_edges(sf_dir: str, num_buckets: int = 16) -> ray.data.Dataset:
              "id_b": j["l_partkey_y"].to_numpy(np.int64)}
         ).drop_duplicates(ignore_index=True)
 
-    raw = partitioned_map_groups(li, "l_orderkey", order_pairs, num_buckets)
+    raw = hash_exchange(li, "l_orderkey", order_pairs, num_buckets)
 
     def dedup_keep_key(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "id_a" not in df.columns:
@@ -1184,7 +1187,7 @@ def _copurchase_edges(sf_dir: str, num_buckets: int = 16) -> ray.data.Dataset:
             return out
         return df.drop_duplicates(["id_a", "id_b"], ignore_index=True)
 
-    return partitioned_map_groups(
+    return hash_exchange(
         raw.map_batches(_add_pair_key, batch_format="pandas"),
         "pkey", dedup_keep_key, num_buckets,
     ).materialize()
@@ -1267,7 +1270,7 @@ def triangle_count(
         g = df.groupby("doc_id", as_index=False).size()
         return g.rename(columns={"size": "degree"}).astype({"degree": np.int64})
 
-    degrees = partitioned_map_groups(
+    degrees = hash_exchange(
         edges.map_batches(endpoints, batch_format="pandas"),
         "doc_id", degree, num_buckets,
     )
@@ -1298,8 +1301,6 @@ def triangle_count(
 
     ekeys = None
     if broadcast_edges:
-        import logging
-
         # id_a < id_b by construction, so max(id_b) is the max node id;
         # both probes are metadata/aggregate-cheap on the materialized
         # edge table (no driver-side row materialization).  The
@@ -1310,7 +1311,7 @@ def triangle_count(
         n_edge_rows = edges.count()
         max_id = edges.max("id_b") if n_edge_rows else None
         path = _triangle_close_path(size_bytes, max_id)
-        logging.getLogger(__name__).info(
+        _LOG.info(
             "triangle_count closing path: %s (edges=%d bytes, max_id=%s)",
             path, size_bytes, max_id,
         )
@@ -1351,7 +1352,7 @@ def triangle_count(
             hits = (idx < len(keys)) & (keys[np.minimum(idx, len(keys) - 1)] == k)
             return pd.DataFrame({"cnt": np.asarray([int(hits.sum())], dtype=np.int64)})
 
-        closed = partitioned_map_groups(oriented, "src", wedge_close, num_buckets)
+        closed = hash_exchange(oriented, "src", wedge_close, num_buckets)
     else:
         def wedges(df: pd.DataFrame) -> pd.DataFrame:
             if len(df) == 0 or "src" not in df.columns:
@@ -1359,7 +1360,7 @@ def triangle_count(
             a, b = _wedge_pairs(df)
             return pd.DataFrame({"id_a": a, "id_b": b})
 
-        wedge_ds = partitioned_map_groups(oriented, "src", wedges, num_buckets)
+        wedge_ds = hash_exchange(oriented, "src", wedges, num_buckets)
         wedge_keyed = wedge_ds.map_batches(_add_pair_key, batch_format="pandas")
 
         def close_count(w: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
@@ -1423,7 +1424,7 @@ def kcore(
             {"node": np.int64, "deg": np.int64}
         )
 
-    alive = partitioned_map_groups(es, "src", init_alive, num_buckets)
+    alive = hash_exchange(es, "src", init_alive, num_buckets)
 
     esplits = split_refs(es, "src", num_buckets)
 
@@ -1623,7 +1624,7 @@ def hits_over_edges(
     def dedup(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates()
 
-    nodes = partitioned_map_groups(
+    nodes = hash_exchange(
         edges.map_batches(endpoints, batch_format="pandas"),
         "node", dedup, num_buckets=8).materialize()
     empty_out = pd.DataFrame(
@@ -1681,7 +1682,7 @@ def hits_over_edges(
 
         contribs = hash_coexchange(h, edges, "node", "src", scatter_auth,
                                    num_buckets=8, splits_b=esrc)
-        a = normalize(partitioned_map_groups(
+        a = normalize(hash_exchange(
             contribs, "node", fold, num_buckets=8).materialize())
 
         def scatter_hub(ad: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
@@ -1696,7 +1697,7 @@ def hits_over_edges(
 
         contribs2 = hash_coexchange(a, edges, "node", "dst", scatter_hub,
                                     num_buckets=8, splits_b=edst)
-        h = normalize(partitioned_map_groups(
+        h = normalize(hash_exchange(
             contribs2, "node", fold, num_buckets=8).materialize())
 
     def attach_hub(nd: pd.DataFrame, hv: pd.DataFrame) -> pd.DataFrame:
@@ -1785,7 +1786,7 @@ def copurchase_components(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("component", as_index=False).size()
         return pd.DataFrame({"size": g["size"].to_numpy(np.int64)})
 
-    sz = partitioned_map_groups(
+    sz = hash_exchange(
         comp, "component", sizes, num_buckets=8).to_pandas()
     if sz.empty or "size" not in sz.columns:
         return empty_out

@@ -2,14 +2,17 @@
 
 Scale notes (the point of this engine):
 
-* ``partitioned_map_groups`` is the one shuffle primitive: it hash-buckets
-  rows by a key column into ``num_buckets`` groups and runs a vectorized
-  pandas function ONCE PER BUCKET (not once per logical group), so the
-  per-group Python overhead of ``GroupedData.map_groups`` is amortized —
-  a bucket holds thousands of conversations and the body works on them
-  with vectorized pandas/numpy.  All wide steps (conversation assembly,
-  canonicalization, triple dedup, connected components, sessionization)
-  go through it with an explicit, documented key.
+* ``hash_exchange`` (and its two-sided twin ``hash_coexchange``) is the
+  one shuffle primitive: it hash-buckets rows by a key column and runs a
+  vectorized function ONCE PER BUCKET (not once per logical group), so
+  the per-group Python overhead of ``GroupedData.map_groups`` is
+  amortized — a bucket holds thousands of conversations and the body
+  works on them with vectorized pandas/numpy.  All wide steps
+  (conversation assembly, canonicalization, triple dedup, connected
+  components, sessionization) go through it with an explicit,
+  documented key.  Every side of every exchange runs through ONE
+  streaming split loop (``_stream_gens``) and ONE split kernel
+  (``_split``); a fixed bucket count is the loop's one-generation case.
 * ``stable_bucket`` uses pandas' fixed-key siphash (``pd.util.hash_array``)
   so bucket ids are deterministic across processes and runs — required
   for resumable, idempotent partition output (SURVEY.md §4 checkpoint
@@ -96,6 +99,7 @@ MERGE_FANIN = 512
 #   collect-all-metadata pass, splits overlap upstream execution, and
 #   earlier coarse generations are reconciled with one extra re-split
 #   pass over their already-resident outputs (geometrically bounded).
+#   An explicit ``num_buckets`` is the same loop pinned at one count.
 # * Bounded driver ref inventory: split outputs are folded into the
 #   per-bucket concat tree INCREMENTALLY as they are launched (a
 #   binary-carry ladder of fan-in MERGE_FANIN), so the driver holds
@@ -124,17 +128,12 @@ def _iter_blocks(ds: ray.data.Dataset):
             yield ref, getattr(meta, "size_bytes", None) or 0
 
 
-def _collect_blocks(ds: ray.data.Dataset) -> list:
-    return list(_iter_blocks(ds))
-
-
 def _iter_split_groups(blocks_iter):
     """Group upstream blocks for shared split tasks: normal blocks get
     their own task (preserving split parallelism and upstream overlap);
     only micro-block floods coalesce, bounded by MAX_SPLIT_GROUP_BLOCKS
     refs or TARGET_SPLIT_BYTES bytes per task.  Yields ``(group,
-    group_bytes)``.  Single home of the coalescing policy for both the
-    streaming exchange and :func:`split_refs`."""
+    group_bytes)``."""
     group: list = []
     gbytes = 0
     for ref, sz in blocks_iter:
@@ -147,11 +146,71 @@ def _iter_split_groups(blocks_iter):
         yield group, gbytes
 
 
+def _concat_tables(parts) -> pa.Table:
+    """Concatenate bucket parts, skipping empty ones (their schema may
+    lack columns computed upstream); all-empty keeps the first part."""
+    nonempty = [p for p in parts if p.num_rows]
+    base = nonempty if nonempty else list(parts[:1])
+    return pa.concat_tables(base, promote_options="default")
+
+
+@ray.remote
+def _concat(*parts):
+    # inner tree node: pure concatenation, no fn
+    return _concat_tables(parts).combine_chunks()
+
+
+@ray.remote
+def _split(key: str, num_buckets: int, stride: int, offset: int, *blocks):
+    """Route every row of ``blocks`` (a group of consecutive blocks, or
+    the parts of one coarse bucket) to output
+    ``(stable_bucket(key, num_buckets) - offset) // stride``, one
+    zero-copy slice per output.  ``stride=1, offset=0`` is the plain
+    split into ``num_buckets`` outputs.  ``stride=B_old, offset=b_old``
+    re-splits old bucket ``b_old`` of a coarser generation into its
+    ``num_buckets // B_old`` final buckets: bucket counts only ever
+    double, so ``h % B_old == (h % num_buckets) % B_old`` and every row
+    of ``b_old`` lands in a final bucket ``b_old + i * B_old``."""
+    fan = num_buckets // stride
+    parts: list[list] = [[] for _ in range(fan)]
+    fallback = None
+    for block in blocks:
+        tbl = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
+        if fallback is None:
+            fallback = tbl.slice(0, 0)
+        if key not in tbl.schema.names or tbl.num_rows == 0:
+            continue
+        col = tbl[key].to_pandas().to_numpy()
+        sub = (stable_bucket(col, num_buckets) - offset) // stride
+        order = np.argsort(sub, kind="stable")
+        tbl = tbl.take(pa.array(order))
+        offs = np.searchsorted(sub[order], np.arange(fan + 1))
+        for i in range(fan):
+            sl = tbl.slice(offs[i], offs[i + 1] - offs[i])
+            if sl.num_rows:
+                parts[i].append(sl)
+    out = [
+        pa.concat_tables(p, promote_options="default") if len(p) > 1
+        else p[0] if p else fallback
+        for p in parts
+    ]
+    return out[0] if fan == 1 else tuple(out)
+
+
+def _launch_split(refs: list, key: str, num_buckets: int, stride: int = 1,
+                  offset: int = 0) -> tuple:
+    fan = num_buckets // stride
+    outs = _split.options(num_returns=fan).remote(
+        key, num_buckets, stride, offset, *refs
+    )
+    return (outs,) if fan == 1 else outs
+
+
 def _new_levels(num_buckets: int) -> list:
     return [[[]] for _ in range(num_buckets)]
 
 
-def _ladder_add(levels: list, concat, b: int, ref, lvl: int = 0):
+def _ladder_add(levels: list, b: int, ref, lvl: int = 0):
     """Incremental binary-carry concat ladder: when a level accumulates
     MERGE_FANIN refs they collapse into one concat task and carry to the
     next level — every row passes through O(log_F n_blocks) concats and
@@ -161,86 +220,50 @@ def _ladder_add(levels: list, concat, b: int, ref, lvl: int = 0):
         L.append([])
     L[lvl].append(ref)
     if len(L[lvl]) >= MERGE_FANIN:
-        folded = concat.remote(*L[lvl])
+        folded = _concat.remote(*L[lvl])
         L[lvl] = []
-        _ladder_add(levels, concat, b, folded, lvl + 1)
+        _ladder_add(levels, b, folded, lvl + 1)
 
 
 def _ladder_refs(levels: list, b: int) -> list:
     return [r for lvl in levels[b] for r in lvl]
 
 
-def _stream_split_merge(blocks_iter, key: str, num_buckets: int, concat):
-    """Launch split tasks as upstream blocks arrive and fold each
-    bucket's split outputs through the incremental concat ladder.
-    Returns one ref list per bucket (ready for the root merge), or None
-    if the upstream produced zero blocks."""
-    split = _make_split(key, num_buckets)
-    levels = _new_levels(num_buckets)
-    n_groups = 0
-    for group, _gbytes in _iter_split_groups(blocks_iter):
-        n_groups += 1
-        refs = split.options(num_returns=num_buckets).remote(*group)
-        refs = (refs,) if num_buckets == 1 else refs
-        for b in range(num_buckets):
-            _ladder_add(levels, concat, b, refs[b])
-    if n_groups == 0:
-        return None
-    # Leftovers across ladder levels can total up to (MERGE_FANIN-1) x
-    # levels refs; fold them so the ROOT merge also honors the fan-in
-    # cap (its task spec must stay bounded at any block count).
-    return [
-        _tree_reduce(_ladder_refs(levels, b), concat)
-        for b in range(num_buckets)
-    ]
+def _tree_reduce(refs: list) -> list:
+    while len(refs) > MERGE_FANIN:
+        refs = [
+            _concat.remote(*refs[i : i + MERGE_FANIN])
+            for i in range(0, len(refs), MERGE_FANIN)
+        ]
+    return refs
 
 
-@ray.remote
-def _resplit(key: str, num_buckets: int, b_old: int, old_buckets: int, *tables):
-    """Re-split an earlier-generation bucket (built with ``old_buckets``)
-    into its ``num_buckets // old_buckets`` final buckets.  Valid because
-    bucket counts only ever double: ``h % B_old == (h % B_new) % B_old``
-    whenever ``B_old`` divides ``B_new``, so every row of old bucket
-    ``b_old`` lands in a final bucket ``b_old + i * B_old``."""
-    fan = num_buckets // old_buckets
-    nonempty = [t for t in tables if t.num_rows]
-    tbl = pa.concat_tables(
-        nonempty if nonempty else list(tables[:1]), promote_options="default"
-    )
-    if key not in tbl.schema.names or tbl.num_rows == 0:
-        empty = tbl.slice(0, 0)
-        return empty if fan == 1 else tuple(empty for _ in range(fan))
-    col = tbl[key].to_pandas().to_numpy()
-    b = stable_bucket(col, num_buckets)
-    # positions of the fan final buckets for this old bucket
-    sub = (b - b_old) // old_buckets  # in [0, fan): exact since b % old == b_old
-    order = np.argsort(sub, kind="stable")
-    tbl = tbl.take(pa.array(order))
-    ss = sub[order]
-    offs = np.searchsorted(ss, np.arange(fan + 1))
-    out = [tbl.slice(offs[i], offs[i + 1] - offs[i]) for i in range(fan)]
-    return out[0] if fan == 1 else tuple(out)
-
-
-def _stream_gens(blocks_iter, key: str, concat):
-    """Auto-sized streaming split: start splitting IMMEDIATELY at
-    MIN_AUTO_BUCKETS and double the bucket count whenever the bytes seen
-    so far exceed ``bucket_count x TARGET_BUCKET_BYTES`` — no
-    collect-all-metadata pass, so split tasks overlap upstream execution
-    on the auto path too (VERDICT r3 #3).  Each bucket-count change
-    closes a *generation*; earlier generations are reconciled by
-    :func:`_gens_to_buckets` with one extra split pass over their
-    (already object-store-resident) outputs.  Returns ``(B_final,
-    generations)`` where generations is a list of ``(B_g, levels)``
-    with the final generation last, or ``(None, None)`` on zero
-    blocks."""
-    B = MIN_AUTO_BUCKETS
-    # generation reconciliation requires every B_g | B_final — doubling
-    # from MIN preserves it iff the ceiling is MIN x a power of two
+def _bucket_range(num_buckets: int | None) -> tuple[int, int]:
+    """``(start, cap)`` bucket counts for :func:`_stream_gens`: an
+    explicit count never doubles; auto doubles from MIN_AUTO_BUCKETS up
+    to the largest MIN x 2^k <= MAX_AUTO_BUCKETS (every generation's
+    count must divide the final one for the re-split to be exact)."""
+    if num_buckets is not None:
+        return num_buckets, num_buckets
     cap = MIN_AUTO_BUCKETS
     while cap * 2 <= MAX_AUTO_BUCKETS:
         cap *= 2
-    split = _make_split(key, B)
+    return MIN_AUTO_BUCKETS, cap
+
+
+def _stream_gens(blocks_iter, key: str, start: int, cap: int):
+    """The one streaming split loop: launch split tasks as upstream
+    blocks arrive and fold each bucket's outputs through the concat
+    ladder.  Splitting starts IMMEDIATELY at ``start`` buckets and
+    doubles (up to ``cap``) whenever the bytes seen so far exceed
+    ``bucket_count x TARGET_BUCKET_BYTES`` — no collect-all-metadata
+    pass, so split tasks overlap upstream execution.  ``start == cap``
+    is a fixed bucket count: one generation, no re-split.  Each
+    bucket-count change closes a *generation*, reconciled by
+    :func:`_gens_to_buckets`.  Returns ``(B_final, generations)``, a
+    list of ``(B_g, levels)`` with the final generation last; it is
+    empty on zero blocks (``B_final`` is then ``start``)."""
+    B = start
     gens: list[tuple[int, list]] = []
     levels = _new_levels(B)
     seen = 0
@@ -250,44 +273,40 @@ def _stream_gens(blocks_iter, key: str, concat):
             gens.append((B, levels))
             while seen > B * TARGET_BUCKET_BYTES and B < cap:
                 B *= 2
-            split = _make_split(key, B)
             levels = _new_levels(B)
         n_groups += 1
         seen += gbytes
-        refs = split.options(num_returns=B).remote(*group)
-        refs = (refs,) if B == 1 else refs
+        refs = _launch_split(group, key, B)
         for b in range(B):
-            _ladder_add(levels, concat, b, refs[b])
-    if n_groups == 0:
-        return None, None
-    gens.append((B, levels))
+            _ladder_add(levels, b, refs[b])
+    if n_groups:
+        gens.append((B, levels))
     return B, gens
 
 
-def _gens_to_buckets(gens: list, num_buckets: int, key: str, concat) -> list:
-    """Fold generations into per-bucket ref lists at ``num_buckets``
-    (which every generation's bucket count must divide).  The final
+def _gens_to_buckets(gens: list, num_buckets: int, key: str) -> list:
+    """Fold generations into per-bucket ref lists (each at most
+    MERGE_FANIN refs, ready for the root merge) at ``num_buckets``,
+    which every generation's bucket count must divide.  The final
     generation's refs route directly; earlier (coarser) generations pay
-    one re-split task per folded ref — bounded extra work over data
-    that is already in the object store."""
+    one re-split task per old bucket — bounded extra work over data
+    that is already in the object store.  Zero generations give empty
+    lists."""
     per_bucket: list[list] = [[] for _ in range(num_buckets)]
     for B_g, levels in gens:
         if B_g == num_buckets:
             for b in range(num_buckets):
                 per_bucket[b].extend(_ladder_refs(levels, b))
             continue
-        fan = num_buckets // B_g
         for b_old in range(B_g):
-            refs = _tree_reduce(_ladder_refs(levels, b_old), concat)
+            refs = _tree_reduce(_ladder_refs(levels, b_old))
             if not refs:
                 continue
-            outs = _resplit.options(num_returns=fan).remote(
-                key, num_buckets, b_old, B_g, *refs
-            )
-            outs = (outs,) if fan == 1 else outs
-            for i in range(fan):
-                per_bucket[b_old + i * B_g].append(outs[i])
-    return [_tree_reduce(refs, concat) for refs in per_bucket]
+            outs = _launch_split(refs, key, num_buckets, B_g, b_old)
+            for i, ref in enumerate(outs):
+                per_bucket[b_old + i * B_g].append(ref)
+    return [_tree_reduce(refs) for refs in per_bucket]
+
 
 
 def _empty_like(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -312,7 +331,14 @@ def hash_exchange(
     num_buckets: int | None = None,
     fn_format: str = "pandas",
 ) -> ray.data.Dataset:
-    """Explicit all-to-all hash exchange with raw Ray tasks.
+    """Hash-partition ``ds`` on ``key`` and apply ``fn`` once per bucket.
+
+    ``fn`` receives ALL rows sharing a bucket (a superset grouping of
+    the logical key) and must do its own per-key vectorized grouping
+    (and must tolerate an empty frame with the input schema): Python
+    overhead is O(num_buckets), not O(n_groups).  Skewed logical keys
+    can be pre-salted by the caller (canonicalization does: salt =
+    hash(doc_key) % S as a sub-key).
 
     Upstream blocks are split into ``num_buckets`` zero-copy Arrow
     slices as they stream out of the upstream (one split task per
@@ -340,24 +366,14 @@ def hash_exchange(
     Partitioning assumption: ``fn`` sees ALL rows whose ``key`` hashes
     to its bucket, exactly once.  Upstream blocks stream into split
     tasks as they are produced; the returned Dataset's blocks are the
-    pending merge outputs (execution of the exchange is eager, the
-    merges themselves are async).
+    merge outputs.  The exchange is eager, and the call returns only
+    after every merge has finished: ``from_arrow_refs`` fetches each
+    block's metadata.
     """
-
-    def _concat(parts):
-        nonempty = [p for p in parts if p.num_rows]
-        base = nonempty if nonempty else list(parts[:1])
-        return base, pa.concat_tables(base, promote_options="default")
-
-    @ray.remote
-    def concat(*parts):
-        # inner tree node: pure concatenation, no fn
-        _, tbl = _concat(parts)
-        return tbl.combine_chunks()
 
     @ray.remote
     def merge(*parts):
-        base, tbl = _concat(parts)
+        tbl = _concat_tables(parts)
         inp = tbl if fn_format == "pyarrow" else tbl.to_pandas()
         try:
             out = fn(inp)
@@ -365,92 +381,25 @@ def hash_exchange(
             if tbl.num_rows == 0:
                 # empty bucket whose schema lost computed columns upstream
                 # (Ray Data skips UDFs on empty blocks) — emit 0 rows
-                return base[0]
+                return tbl
             raise
         if isinstance(out, pd.DataFrame):
             return pa.Table.from_pandas(out, preserve_index=False)
         return out
 
-    if num_buckets is None:
-        # streaming auto-sizing: splits launch as upstream blocks arrive
-        # (doubling generations, reconciled at the end) — same overlap
-        # as the explicit-bucket path
-        num_buckets, gens = _stream_gens(_iter_blocks(ds), key, concat)
-        if gens is None:
-            return _empty_like(ds)
-        per_bucket = _gens_to_buckets(gens, num_buckets, key, concat)
-    else:
-        per_bucket = _stream_split_merge(_iter_blocks(ds), key, num_buckets, concat)
-    if per_bucket is None:
+    B, gens = _stream_gens(_iter_blocks(ds), key, *_bucket_range(num_buckets))
+    if not gens:
         return _empty_like(ds)
-    merged = [merge.remote(*refs) for refs in per_bucket]
+    merged = [merge.remote(*refs) for refs in _gens_to_buckets(gens, B, key)]
     return ray.data.from_arrow_refs(merged)
 
 
-def _make_split(key: str, num_buckets: int):
-    @ray.remote
-    def split(*blocks, key=key, B=num_buckets):
-        # one task splits a GROUP of consecutive blocks (two-level split:
-        # bounds the driver's ref inventory; see sizing notes above)
-        parts: list[list] = [[] for _ in range(B)]
-        fallback = None
-        for block in blocks:
-            tbl = (
-                block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-            )
-            if fallback is None:
-                fallback = tbl.slice(0, 0)
-            if key not in tbl.schema.names or tbl.num_rows == 0:
-                continue
-            col = tbl[key].to_pandas().to_numpy()
-            b = stable_bucket(col, B)
-            order = np.argsort(b, kind="stable")
-            tbl = tbl.take(pa.array(order))
-            bs = b[order]
-            offs = np.searchsorted(bs, np.arange(B + 1))
-            for i in range(B):
-                sl = tbl.slice(offs[i], offs[i + 1] - offs[i])
-                if sl.num_rows:
-                    parts[i].append(sl)
-        out = []
-        for i in range(B):
-            if len(parts[i]) > 1:
-                out.append(pa.concat_tables(parts[i], promote_options="default"))
-            elif parts[i]:
-                out.append(parts[i][0])
-            else:
-                out.append(fallback)
-        return out[0] if B == 1 else tuple(out)
-
-    return split
-
-
-def _split_refs(ds: ray.data.Dataset, key: str, num_buckets: int) -> list:
-    return _launch_group_splits(_collect_blocks(ds), key, num_buckets)
-
-
-def _launch_group_splits(blocks: list, key: str, num_buckets: int) -> list:
-    split = _make_split(key, num_buckets)
-    out = []
-    for group, _gbytes in _iter_split_groups(blocks):
-        refs = split.options(num_returns=num_buckets).remote(*group)
-        out.append((refs,) if num_buckets == 1 else refs)
-    return out
-
-
 def split_refs(ds: ray.data.Dataset, key: str, num_buckets: int) -> list:
-    """Public handle for pre-splitting one exchange side so several
-    :func:`hash_coexchange` calls can share it (``splits_b=``)."""
-    return _split_refs(ds, key, num_buckets)
-
-
-def _tree_reduce(refs: list, concat) -> list:
-    while len(refs) > MERGE_FANIN:
-        refs = [
-            concat.remote(*refs[i : i + MERGE_FANIN])
-            for i in range(0, len(refs), MERGE_FANIN)
-        ]
-    return refs
+    """Pre-split one exchange side so several :func:`hash_coexchange`
+    calls can share it (``splits_b=``): one ref list per bucket, each
+    at most MERGE_FANIN refs (all empty when ``ds`` has zero blocks)."""
+    B, gens = _stream_gens(_iter_blocks(ds), key, num_buckets, num_buckets)
+    return _gens_to_buckets(gens, B, key)
 
 
 def hash_coexchange(
@@ -468,10 +417,11 @@ def hash_coexchange(
     equals some ``key_b`` of ``ds_b`` land in the same bucket), and
     ``fn(bucket_a, bucket_b)`` runs once per bucket.
 
-    ``splits_b`` (from :func:`split_refs`) reuses an already-split b
-    side across several exchanges — the exchange is eager, so passing
-    the same Dataset twice would re-execute its lineage; splitting once
-    shares the object-store copies instead.
+    ``splits_b`` (from :func:`split_refs` at the same ``num_buckets``)
+    reuses an already-split b side across several exchanges — the
+    exchange is eager, so passing the same Dataset twice would
+    re-execute its lineage; splitting once shares the object-store
+    copies instead.
 
     This replaces the tagged-union join pattern (tag both sides with a
     ``kind`` column, union, filter inside the bucket): each side keeps
@@ -483,20 +433,9 @@ def hash_coexchange(
     passes empty blocks through upstream UDFs untouched)."""
 
     @ray.remote
-    def concat(*parts):
-        nonempty = [p for p in parts if p.num_rows]
-        base = nonempty if nonempty else list(parts[:1])
-        return pa.concat_tables(base, promote_options="default").combine_chunks()
-
-    def _concat_local(parts):
-        nonempty = [p for p in parts if p.num_rows]
-        base = nonempty if nonempty else list(parts[:1])
-        return pa.concat_tables(base, promote_options="default")
-
-    @ray.remote
     def merge2(n_a, *parts):
-        ta = _concat_local(parts[:n_a])
-        tb = _concat_local(parts[n_a:])
+        ta = _concat_tables(parts[:n_a])
+        tb = _concat_tables(parts[n_a:])
         try:
             if fn_format == "pyarrow":
                 out = fn(ta, tb)
@@ -513,99 +452,33 @@ def hash_coexchange(
             return pa.Table.from_pandas(out, preserve_index=False)
         return out
 
-    if num_buckets is None:
-        if splits_b is not None:
-            raise ValueError(
-                "num_buckets must be explicit when reusing splits_b "
-                "(the pre-split side fixed the bucket count)"
-            )
-        # both sides stream independently (each doubling on its own
-        # byte count); the final bucket count is the max of the two —
-        # a multiple of every generation on both sides, so the
-        # generation reconciler aligns them
-        B_a, gens_a = _stream_gens(_iter_blocks(ds_a), key_a, concat)
-        B_b, gens_b = _stream_gens(_iter_blocks(ds_b), key_b, concat)
-        num_buckets = max(B_a or MIN_AUTO_BUCKETS, B_b or MIN_AUTO_BUCKETS)
-        pb_a = (
-            _gens_to_buckets(gens_a, num_buckets, key_a, concat)
-            if gens_a is not None else None
+    if splits_b is not None and len(splits_b) != num_buckets:
+        raise ValueError(
+            f"splits_b holds {len(splits_b)} buckets but num_buckets is "
+            f"{num_buckets} (pass the count the pre-split side was made with)"
         )
-        pb_b = (
-            _gens_to_buckets(gens_b, num_buckets, key_b, concat)
-            if gens_b is not None else None
-        )
-    else:
-        pb_a = _stream_split_merge(_iter_blocks(ds_a), key_a, num_buckets, concat)
-        if splits_b is None:
-            pb_b = _stream_split_merge(
-                _iter_blocks(ds_b), key_b, num_buckets, concat
-            )
-        else:
-            # legacy per-group tuple shape from split_refs (shared side)
-            pb_b = (
-                [_tree_reduce([s[b] for s in splits_b], concat)
-                 for b in range(num_buckets)]
-                if splits_b else None
-            )
-    if pb_a is None and pb_b is None:
+    # both sides stream independently (on the auto path each doubles on
+    # its own byte count); the final bucket count is the max of the two
+    # — a multiple of every generation on both sides
+    start, cap = _bucket_range(num_buckets)
+    B, gens_a = _stream_gens(_iter_blocks(ds_a), key_a, start, cap)
+    pb_b = splits_b
+    if pb_b is None:
+        B_b, gens_b = _stream_gens(_iter_blocks(ds_b), key_b, start, cap)
+        B = max(B, B_b)
+        pb_b = _gens_to_buckets(gens_b, B, key_b)
+    pb_a = _gens_to_buckets(gens_a, B, key_a)
+    if not any(pb_a) and not any(pb_b):
         return _empty_like(ds_a)
     # a zero-block SIDE still participates (fn may emit rows from the
     # other side alone — e.g. label carry-forward in connected
     # components): stand in a column-less empty table for it
-    if pb_a is None or pb_b is None:
-        empty_side = ray.put(pa.table({}))
-        if pb_a is None:
-            pb_a = [[empty_side] for _ in range(num_buckets)]
-        else:
-            pb_b = [[empty_side] for _ in range(num_buckets)]
-    merged = []
-    for b in range(num_buckets):
-        merged.append(merge2.remote(len(pb_a[b]), *pb_a[b], *pb_b[b]))
+    if not all(pb_a) or not all(pb_b):
+        empty = [ray.put(pa.table({}))]
+        pb_a = [refs or empty for refs in pb_a]
+        pb_b = [refs or empty for refs in pb_b]
+    merged = [merge2.remote(len(ra), *ra, *rb) for ra, rb in zip(pb_a, pb_b)]
     return ray.data.from_arrow_refs(merged)
-
-
-def partitioned_map_groups(
-    ds: ray.data.Dataset,
-    key: str,
-    fn: Callable[[pd.DataFrame], pd.DataFrame | pa.Table],
-    num_buckets: int | None = None,
-    bucket_col: str = "__bucket",
-    impl: str = "hash",
-    fn_format: str = "pandas",
-) -> ray.data.Dataset:
-    """Hash-partition ``ds`` on ``key`` and apply ``fn`` once per bucket.
-
-    ``fn`` receives ALL rows sharing a bucket (a superset grouping of the
-    logical key) as one pandas DataFrame and must do its own per-key
-    vectorized grouping (and must tolerate an empty frame with the input
-    schema).  This is the explicit partitioned-shuffle pattern: one
-    all-to-all exchange, Python overhead O(num_buckets) not O(n_groups).
-    Skewed logical keys can be pre-salted by the caller (canonicalization
-    does: salt = hash(doc_key) % S as a sub-key).
-
-    ``impl="hash"`` (default) uses :func:`hash_exchange`;
-    ``impl="sort"`` uses the pure Dataset API
-    (``groupby(bucket).map_groups`` — lazy, but sort-shuffle-bound).
-    """
-    if impl == "hash":
-        return hash_exchange(ds, key, fn, num_buckets, fn_format=fn_format)
-    if num_buckets is None:
-        num_buckets = 64  # sort impl needs a concrete bucket column
-    if fn_format == "pyarrow":
-        inner = fn
-        fn = lambda df: inner(pa.Table.from_pandas(df, preserve_index=False))  # noqa: E731
-
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch[bucket_col] = stable_bucket(batch[key].to_numpy(), num_buckets)
-        return batch
-
-    def run(group: pd.DataFrame) -> pd.DataFrame | pa.Table:
-        group = group.drop(columns=[bucket_col])
-        return fn(group)
-
-    with_bucket = ds.map_batches(add_bucket, batch_format="pandas")
-    return with_bucket.groupby(bucket_col).map_groups(run, batch_format="pandas")
 
 
 def assert_unique(ds: ray.data.Dataset, cols: list[str], num_buckets: int = 16) -> ray.data.Dataset:
@@ -630,19 +503,12 @@ def assert_unique(ds: ray.data.Dataset, cols: list[str], num_buckets: int = 16) 
         df["__ukey"] = key
         return df
 
-    return partitioned_map_groups(
+    return hash_exchange(
         ds.map_batches(keyed, batch_format="pandas"),
         "__ukey",
         check,
         num_buckets,
     )
-
-
-def list_offsets(list_array: pa.Array) -> np.ndarray:
-    """int64 offsets of a (Large)ListArray, handling chunked input."""
-    if isinstance(list_array, pa.ChunkedArray):
-        list_array = list_array.combine_chunks()
-    return np.asarray(list_array.offsets)
 
 
 def flatten_with_parent(

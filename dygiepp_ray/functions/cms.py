@@ -82,11 +82,11 @@ def cms_counters(
         g = df.groupby(["row", "col"], sort=False, as_index=False)["count"].sum()
         return g.astype(np.int64)
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     # cell-wise sums merge on a col-keyed exchange BEFORE the collect:
     # driver holds <= d x w nonzero cells, not O(batches x d x w)
-    partials = partitioned_map_groups(
+    partials = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "col", merge,
         num_buckets=4,
     ).to_pandas()
@@ -158,11 +158,11 @@ def cms_counters_by(
             .reset_index()
         )
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     # per-group cells merge on a col-keyed exchange first: driver reads
     # back <= n_groups x d x w rows regardless of batch count
-    partials = partitioned_map_groups(
+    partials = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "col", merge,
         num_buckets=4,
     ).to_pandas()

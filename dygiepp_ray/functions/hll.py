@@ -72,12 +72,12 @@ def hll_registers(
         g = df.groupby("register", sort=False, as_index=False)["rho_max"].max()
         return g.astype(np.int64)
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     # register-keyed exchange merges per-batch vectors element-wise
     # BEFORE the collect: the driver holds exactly 2^p rows, not
     # O(batches x 2^p)
-    partials = partitioned_map_groups(
+    partials = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "register", merge,
         num_buckets=4,
     ).to_pandas()
@@ -143,11 +143,11 @@ def hll_registers_by(
             .reset_index()
         )
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     # (group, register) cells merge on a register-keyed exchange first:
     # driver reads back <= n_groups x 2^p rows regardless of batch count
-    partials = partitioned_map_groups(
+    partials = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "register", merge,
         num_buckets=4,
     ).to_pandas()

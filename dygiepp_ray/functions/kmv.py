@@ -66,9 +66,9 @@ def kmv_sketch_by(
         d = df.drop_duplicates([by, "val"]).sort_values("val", kind="mergesort")
         return d.groupby(by, sort=False).head(k).reset_index(drop=True)
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), by, merge,
         num_buckets=8,
     ).to_pandas()

@@ -74,9 +74,9 @@ def mg_candidates(
         )
         return pd.DataFrame({"key": k, "count": c})
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "key", merge,
         num_buckets=8,
     ).to_pandas()
@@ -129,11 +129,11 @@ def heavy_hitters_exact(
         g = df.groupby("key", sort=False, as_index=False)["count"].sum()
         return g.astype(np.int64)
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     # exact per-key sums merge on a keyed exchange; the driver reads
     # back <= |candidates| rows total
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         ds.map_batches(verify, batch_format="pandas"), "key", merge_exact,
         num_buckets=8,
     ).to_pandas()

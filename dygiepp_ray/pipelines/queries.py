@@ -201,7 +201,7 @@ def q_chatml_export(sf_dir: str) -> "ray.data.Dataset":
     -> (conv_id, n_turns, chatml_md5)."""
     import hashlib
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
     from ..sources.transcripts import documents_as_transcripts
 
     turns = documents_as_transcripts(sf_dir)
@@ -224,7 +224,7 @@ def q_chatml_export(sf_dir: str) -> "ray.data.Dataset":
              "chatml_md5": [hashlib.md5(x.encode()).hexdigest()
                             for x in s]})
 
-    return partitioned_map_groups(turns, "conv_id", export,
+    return hash_exchange(turns, "conv_id", export,
                                   num_buckets=16)
 
 
@@ -268,7 +268,7 @@ def q_kg_qa_pairs(sf_dir: str) -> "ray.data.Dataset":
     One (subj, pred)-keyed exchange: a pair's objects co-locate, so
     per-object support and the deterministic argmax are bucket-exact;
     nothing touches the driver.  -> (question, answer, n_convs)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -296,7 +296,7 @@ def q_kg_qa_pairs(sf_dir: str) -> "ray.data.Dataset":
              "answer": top["obj"],
              "n_convs": top["n"].to_numpy(np.int64)})
 
-    return partitioned_map_groups(
+    return hash_exchange(
         trip.map_batches(key_sp, batch_format="pandas"), "__k", best,
         num_buckets=16)
 
@@ -379,7 +379,7 @@ def q_kg_cooccurrence(sf_dir: str, min_co: int = 2) -> ray.data.Dataset:
     are attached to the pairs with two co-partitioned exchanges (the
     attach_pair_values pattern for string keys).  The driver holds one
     scalar (N)."""
-    from ..core import hash_coexchange, partitioned_map_groups
+    from ..core import hash_coexchange, hash_exchange
 
     pipe = from_documents_table(sf_dir)
 
@@ -390,7 +390,7 @@ def q_kg_cooccurrence(sf_dir: str, min_co: int = 2) -> ray.data.Dataset:
             return pd.DataFrame({c: pd.Series(dtype=t) for c, t in _CE.items()})
         return df[["conv_id", "surface"]].drop_duplicates(ignore_index=True)
 
-    ce = partitioned_map_groups(
+    ce = hash_exchange(
         pipe.mentions.map_batches(conv_ent, batch_format="pandas"),
         "conv_id", conv_ent, num_buckets=16,
     ).materialize()
@@ -427,7 +427,7 @@ def q_kg_cooccurrence(sf_dir: str, min_co: int = 2) -> ray.data.Dataset:
         g["pair"] = g["sa"] + "\x1f" + g["sb"]
         return g[["pair", "sa", "sb", "n"]].astype({"n": np.int64})
 
-    pair_parts = partitioned_map_groups(ce, "conv_id", pairs, num_buckets=16)
+    pair_parts = hash_exchange(ce, "conv_id", pairs, num_buckets=16)
 
     def sum_pairs(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "pair" not in df.columns:
@@ -437,7 +437,7 @@ def q_kg_cooccurrence(sf_dir: str, min_co: int = 2) -> ray.data.Dataset:
         g = df.groupby(["sa", "sb"], sort=False).agg(n=("n", "sum")).reset_index()
         return g[g["n"] >= min_co].astype({"n": np.int64}).reset_index(drop=True)
 
-    co = partitioned_map_groups(pair_parts, "pair", sum_pairs, num_buckets=16)
+    co = hash_exchange(pair_parts, "pair", sum_pairs, num_buckets=16)
 
     def surf_count(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "surface" not in df.columns:
@@ -449,7 +449,7 @@ def q_kg_cooccurrence(sf_dir: str, min_co: int = 2) -> ray.data.Dataset:
         g = df.groupby("surface", as_index=False).size()
         return g.rename(columns={"size": "c"}).astype({"c": np.int64})
 
-    cx = partitioned_map_groups(ce, "surface", surf_count, num_buckets=16)
+    cx = hash_exchange(ce, "surface", surf_count, num_buckets=16)
 
     def attach(side: str, out_col: str):
         # empty buckets emit the EXACT non-empty schema (arrow strings,
@@ -566,7 +566,7 @@ def q_kg_triples_temporal(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     extraction block, then ONE keyed exchange on the triple key
     finalizes count/distinct/min/max — shuffle bytes are O(distinct
     triples x convs-per-block), never O(mentions)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     spw = WIN // TT  # sentences (turns) per window
@@ -622,7 +622,7 @@ def q_kg_triples_temporal(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             g[c] = g[c].astype(np.int64)
         return g
 
-    out = partitioned_map_groups(partials, "key", final, num_buckets=16)
+    out = hash_exchange(partials, "key", final, num_buckets=16)
     if out.count() == 0:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in _OUT.items()})
     return out
@@ -659,7 +659,7 @@ def q_kg_entity_timeline(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     extraction block; ONE keyed exchange on the entity key finalizes
     count/distinct/min/max — shuffle bytes are O(entities x
     convs-per-block), never O(mentions)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     spw = WIN // TT  # turns per window
@@ -709,7 +709,7 @@ def q_kg_entity_timeline(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             g[c] = g[c].astype(np.int64)
         return g
 
-    out = partitioned_map_groups(partials, "key", final, num_buckets=16)
+    out = hash_exchange(partials, "key", final, num_buckets=16)
     if out.count() == 0:
         return pd.DataFrame({c: pd.Series(dtype=t)
                              for c, t in _OUT.items()})
@@ -737,7 +737,7 @@ def q_kg_entity_degree(sf_dir: str) -> ray.data.Dataset:
     Rides the flagship triples (already conv-locally deduped, so the
     exchange ships one row per distinct triple) through ONE keyed
     exchange on the subject surface."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["conv_id", "subj", "pred", "obj"])
@@ -757,7 +757,7 @@ def q_kg_entity_degree(sf_dir: str) -> ray.data.Dataset:
             g[c] = g[c].astype(np.int64)
         return g
 
-    out = partitioned_map_groups(trip, "subj", degree, num_buckets=16)
+    out = hash_exchange(trip, "subj", degree, num_buckets=16)
     # a fully-empty exchange loses the schema (0-row Dataset.to_pandas()
     # has no columns): hand back the typed empty frame itself
     if out.count() == 0:
@@ -791,7 +791,7 @@ def q_kg_ego_network(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     filter runs in the same streaming pass), then ONE triple-keyed
     exchange rolls up conv support — dedup is global because every copy
     of a triple shares its bucket."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["conv_id", "subj", "pred", "obj"])
@@ -826,7 +826,7 @@ def q_kg_ego_network(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
              "n_convs": g["size"].to_numpy(np.int64)}
         )
 
-    out = partitioned_map_groups(ego, "k", rollup, num_buckets=8)
+    out = hash_exchange(ego, "k", rollup, num_buckets=8)
     if out.count() == 0:
         return empty_out
     return out
@@ -1047,7 +1047,7 @@ def q_kg_path2(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     the product — hub entities cost a multiply, not a fan-out.  One
     coexchange on the shared entity surface (triples materialized once,
     both sides read the same blocks)."""
-    from ..core import hash_coexchange, partitioned_map_groups
+    from ..core import hash_coexchange, hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"]).materialize()
@@ -1089,7 +1089,7 @@ def q_kg_path2(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         g["n_paths"] = g["n_paths"].astype(np.int64)
         return g
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         parts.map_batches(key, batch_format="pandas"), "__k",
         lambda df: total(df.drop(columns="__k")), num_buckets=4,
     )
@@ -1121,7 +1121,7 @@ def q_kg_predicate_stats(sf_dir: str) -> pd.DataFrame:
     rows, never triples (reference emits per-doc relation lists only:
     ``dygie/models/relation.py:230-248``; the schema profile is the
     graph-store side of KG construction)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = (
@@ -1175,10 +1175,10 @@ def q_kg_predicate_stats(sf_dir: str) -> pd.DataFrame:
         p = g.groupby("pred", as_index=False).agg(n_objects=("obj", "size"))
         return p.astype({"n_objects": np.int64})
 
-    a = partitioned_map_groups(
+    a = hash_exchange(
         trip.map_batches(key_sp, batch_format="pandas"), "__k",
         subj_side, num_buckets=16).to_pandas()
-    b = partitioned_map_groups(
+    b = hash_exchange(
         trip.select_columns(["pred", "obj"])
         .map_batches(key_op, batch_format="pandas"), "__k",
         obj_side, num_buckets=16).to_pandas()
@@ -1224,7 +1224,7 @@ def q_kg_type_constraints(sf_dir: str) -> pd.DataFrame:
     the driver folds <= |preds| x |labels|^2 rows.  Dominance ties
     break to the lexicographically smallest signature.
     -> (pred, subj_label, obj_label, n, share_x1e6, dominant)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -1256,7 +1256,7 @@ def q_kg_type_constraints(sf_dir: str) -> pd.DataFrame:
         ).groupby(["pred", "subj_label", "obj_label"], as_index=False).size()
         return g.rename(columns={"size": "n"}).astype({"n": np.int64})
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         trip.map_batches(key_sp, batch_format="pandas"), "__k",
         sig_partial, num_buckets=16).to_pandas()
     if parts.empty or "pred" not in parts.columns:
@@ -1319,7 +1319,7 @@ def q_kg_shared_neighbors(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     count — the LSH-style cap+log discipline applies at real scale
     (here the entity vocabulary bounds k at 20).
     -> (subj_a, subj_b, n_shared), subj_a < subj_b."""
-    from ..core import grouped_pair_indices, partitioned_map_groups
+    from ..core import grouped_pair_indices, hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -1349,7 +1349,7 @@ def q_kg_shared_neighbors(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         return g.rename(columns={"size": "n_shared"}).astype(
             {"n_shared": np.int64})
 
-    part = partitioned_map_groups(
+    part = hash_exchange(
         trip.map_batches(key_po, batch_format="pandas"), "__k",
         pairs, num_buckets=16)
 
@@ -1369,7 +1369,7 @@ def q_kg_shared_neighbors(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         return (df.groupby(["subj_a", "subj_b"], as_index=False)
                 ["n_shared"].sum().astype({"n_shared": np.int64}))
 
-    return partitioned_map_groups(
+    return hash_exchange(
         part.map_batches(key_pair, batch_format="pandas"), "__k",
         merge, num_buckets=8)
 
@@ -1406,7 +1406,7 @@ def q_kg_merged_triples(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     -> (subj, pred, obj, n_convs) over canonical entities."""
     import hashlib
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
     from ..textops.dedup import connected_components
 
     pipe = from_documents_table(sf_dir)
@@ -1449,7 +1449,7 @@ def q_kg_merged_triples(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         return g.rename(columns={"size": "n_shared"}).astype(
             {"n_shared": np.int64})
 
-    part = partitioned_map_groups(
+    part = hash_exchange(
         trip.map_batches(key_po, batch_format="pandas"), "__k",
         pair_partial, num_buckets=16)
 
@@ -1477,7 +1477,7 @@ def q_kg_merged_triples(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         g = d.groupby("subj", as_index=False).size()
         return g.rename(columns={"size": "nc"}).astype({"nc": np.int64})
 
-    cx = partitioned_map_groups(
+    cx = hash_exchange(
         trip.map_batches(key_s, batch_format="pandas"), "__k",
         ctx_counts, num_buckets=8).to_pandas()
     nc = (dict(zip(cx["subj"], cx["nc"].astype(int)))
@@ -1500,7 +1500,7 @@ def q_kg_merged_triples(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         return pd.DataFrame({"id_a": _eid(g["subj_a"]),
                              "id_b": _eid(g["subj_b"])})
 
-    edges = partitioned_map_groups(
+    edges = hash_exchange(
         part.map_batches(key_pair, batch_format="pandas"), "__k",
         to_edges, num_buckets=8)
 
@@ -1552,7 +1552,7 @@ def q_kg_merged_triples(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
              .rename(columns={"size": "n_convs"}))
         return g.astype({"n_convs": np.int64})
 
-    return partitioned_map_groups(
+    return hash_exchange(
         trip.map_batches(rewrite, batch_format="pandas"), "__k",
         dedup, num_buckets=16)
 
@@ -1633,7 +1633,7 @@ def q_kg_degree_assortativity(sf_dir: str) -> pd.DataFrame:
     degrees on one node-keyed exchange (vocab-bounded -> broadcast
     dict); moments are chunked int64 partials -> python-int fold.
     -> one row (assort_x1e6, n_edges); self-loops excluded."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "obj"])
@@ -1656,7 +1656,7 @@ def q_kg_degree_assortativity(sf_dir: str) -> pd.DataFrame:
                                  "hi": pd.Series(dtype=object)})
         return df[["lo", "hi"]].drop_duplicates().reset_index(drop=True)
 
-    pairs = partitioned_map_groups(
+    pairs = hash_exchange(
         trip.map_batches(key_lo, batch_format="pandas"), "__k",
         dedup_pairs, num_buckets=8).materialize()
 
@@ -1679,7 +1679,7 @@ def q_kg_degree_assortativity(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("node", as_index=False)["nb"].size()
         return g.rename(columns={"size": "dg"}).astype({"dg": np.int64})
 
-    deg = partitioned_map_groups(
+    deg = hash_exchange(
         pairs.map_batches(key_node, batch_format="pandas"), "__k",
         degree, num_buckets=8).to_pandas()
     cols = {"assort_x1e6": np.int64, "n_edges": np.int64}
@@ -1766,7 +1766,7 @@ def q_kg_symmetric_pairs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     UNORDERED-pair counts per direction and ONE keyed exchange on
     (lo, hi, pred) pivots the two directions together.  Self-loops are
     excluded (a -p-> a is trivially symmetric)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -1811,7 +1811,7 @@ def q_kg_symmetric_pairs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
              "n_convs_fwd": m["n_convs_fwd"].to_numpy(np.int64),
              "n_convs_rev": m["n_convs_rev"].to_numpy(np.int64)})
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         trip.map_batches(partial, batch_format="pandas"), "__k",
         pivot, num_buckets=16)
     if out.count() == 0:
@@ -1841,7 +1841,7 @@ def q_kg_conflicting_attrs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     object rows carry pre-summed support counts, conversation rows are
     block-deduped ids — shuffle bytes are O(distinct (s,p,o) + distinct
     (s,p,conv) per block), never O(mentions)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["conv_id", "subj", "pred", "obj"])
@@ -1893,7 +1893,7 @@ def q_kg_conflicting_attrs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         return m[list(_OUT)].astype(
             {c: np.int64 for c in ("n_objs", "n_convs", "n_mentions", "top_n")})
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         trip.map_batches(partial, batch_format="pandas"), "__k",
         final, num_buckets=16)
     if out.count() == 0:
@@ -1933,7 +1933,7 @@ def q_kg_entity_cards(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     per-block-collapsed partials: mention rows carry (label, conv,
     count), endpoint rows carry block-deduped (pred, other) pairs —
     shuffle bytes O(distinct per block), never O(mentions x degree)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
 
@@ -2004,7 +2004,7 @@ def q_kg_entity_cards(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             r[c] = r[c].fillna(0).astype(np.int64)
         return r[list(_OUT)]
 
-    out = partitioned_map_groups(tall, "surface", card, num_buckets=16)
+    out = hash_exchange(tall, "surface", card, num_buckets=16)
     if out.count() == 0:
         return empty_out
     return out
@@ -2041,7 +2041,7 @@ def q_kg_upsert_diff(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     (triple, partition)-collapsed counts; conv-support is exact because
     flagship triples are conv-locally deduped (one row per supporting
     conversation)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["conv_id", "subj", "pred", "obj"])
@@ -2082,7 +2082,7 @@ def q_kg_upsert_diff(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
              "n_base": nb, "n_delta": nd,
              "status": status.astype(object)})
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         trip.map_batches(partial, batch_format="pandas"), "__k",
         plan, num_buckets=16)
     if out.count() == 0:
@@ -2182,7 +2182,7 @@ def q_kg_entity_rank(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     iteration, driver holds only the node count); pair dedup happens in
     one subject-keyed exchange before the rank loop."""
     from ..analytics import pagerank_over_edges
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "obj"])
@@ -2207,7 +2207,7 @@ def q_kg_entity_rank(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
              "dst": np.concatenate([d["obj"].to_numpy(object),
                                     d["subj"].to_numpy(object)])})
 
-    edges = partitioned_map_groups(
+    edges = hash_exchange(
         trip.map_batches(key, batch_format="pandas"), "__k",
         both_dirs, num_buckets=16)
     out = pagerank_over_edges(edges, iters=3)
@@ -2241,7 +2241,7 @@ def q_kg_subgraph_export(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     shape at real scale — the qualifying vocab is the small side by
     construction); triples filter map-only, then dedup corpus-wide on
     one triple-keyed exchange."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
 
@@ -2280,7 +2280,7 @@ def q_kg_subgraph_export(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             n_convs=("n", "sum"))
         return g.astype({"n_convs": np.int64})
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         trip.map_batches(filt, batch_format="pandas"), "__k",
         dedup, num_buckets=16)
     if out.count() == 0:
@@ -2315,7 +2315,7 @@ def q_kg_rule_mining(sf_dir: str) -> pd.DataFrame:
     predicate asserted for its pairs, so pair-level pred x pred
     co-assertion collapses bucket-locally to per-(p1, p2) counts; the
     driver merges O(buckets x preds^2) partial rows, never pairs."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -2355,7 +2355,7 @@ def q_kg_rule_mining(sf_dir: str) -> pd.DataFrame:
         out = pd.concat([b, d], ignore_index=True)
         return out[list(cols)].astype({"n": np.int64, "kind": np.int64})
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         trip.map_batches(key, batch_format="pandas"), "__k",
         partial, num_buckets=16).to_pandas()
     if len(parts) == 0 or "p1" not in parts.columns:
@@ -2405,7 +2405,7 @@ def q_kg_negative_samples(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     membership (all (s, p, *) rows co-locate) — no second join."""
     import hashlib
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -2458,7 +2458,7 @@ def q_kg_negative_samples(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
              "k": k[keep], "obj_neg": obj_neg[keep]})
         return out if len(out) else empty_out
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         trip.map_batches(partial, batch_format="pandas"), "__k",
         negs, num_buckets=16)
     if out.count() == 0:
@@ -3177,7 +3177,7 @@ def q_tool_usage(sf_dir: str) -> ray.data.Dataset:
     distinct conversations.  Exercises the transcript metadata
     passthrough (reference ``_``-metadata carry-through analogue,
     doc/data.md:94-106) at the driver-hash level."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
     from ..sources.transcripts import documents_as_transcripts
     from .kg import KGPipeline
 
@@ -3209,7 +3209,7 @@ def q_tool_usage(sf_dir: str) -> ray.data.Dataset:
         )
         return g.astype({"n_turns": np.int64, "n_convs": np.int64})
 
-    return partitioned_map_groups(partials, "tool", final, num_buckets=4)
+    return hash_exchange(partials, "tool", final, num_buckets=4)
 
 
 SQL_TOOL_USAGE = f"""
@@ -3238,7 +3238,7 @@ def q_tool_transitions(sf_dir: str) -> pd.DataFrame:
     One conv-keyed exchange (a conversation's turns co-locate), sort by
     turn_idx inside each conv, lag over the tool subsequence; partials
     collapse to the tiny |tools|^2 matrix."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
     from ..sources.transcripts import documents_as_transcripts
 
     ds = documents_as_transcripts(sf_dir, with_tool=True)
@@ -3264,7 +3264,7 @@ def q_tool_transitions(sf_dir: str) -> pd.DataFrame:
                              "tool_to": g["tool_to"],
                              "n": g["size"].to_numpy(np.int64)})
 
-    parts = partitioned_map_groups(ds, "conv_id", trans,
+    parts = hash_exchange(ds, "conv_id", trans,
                                    num_buckets=8).to_pandas()
     if parts.empty or "tool_from" not in parts.columns:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
@@ -3634,7 +3634,7 @@ def q_kg_inverse_predicates(sf_dir: str) -> pd.DataFrame:
     For p == q the count is over ordered (s, o) — each symmetric
     unordered instance contributes 2.
     -> (p, q, n_inv, sup_p, sup_q, inv_x1e6)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -3678,7 +3678,7 @@ def q_kg_inverse_predicates(sf_dir: str) -> pd.DataFrame:
             out = sup
         return out.astype({"n": np.int64})
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         trip.map_batches(key_pair, batch_format="pandas"), "__k",
         bucket, num_buckets=16).to_pandas()
     if len(parts) == 0 or "kind" not in parts.columns:
@@ -3732,7 +3732,7 @@ def q_kg_transitivity(sf_dir: str) -> pd.DataFrame:
     middle node, emitting candidate (s, p, w) with multiplicity;
     (2) keyed on (s, p, w) against the distinct triples — existence
     check co-locates.  -> (pred, n_wedges, n_closed, trans_x1e6)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -3778,7 +3778,7 @@ def q_kg_transitivity(sf_dir: str) -> pd.DataFrame:
                              "w": g["other_o"],
                              "m": g["size"].to_numpy(np.int64)})
 
-    cand = partitioned_map_groups(
+    cand = hash_exchange(
         trip.map_batches(tag, batch_format="pandas"), "__k",
         wedges, num_buckets=16)
 
@@ -3829,7 +3829,7 @@ def q_kg_transitivity(sf_dir: str) -> pd.DataFrame:
                                         n_closed=("c", "sum"))
         return g.astype({"n_wedges": np.int64, "n_closed": np.int64})
 
-    parts = partitioned_map_groups(tagged, "__k", close,
+    parts = hash_exchange(tagged, "__k", close,
                                    num_buckets=16).to_pandas()
     if len(parts) == 0 or "pred" not in parts.columns:
         return empty_out
@@ -3877,7 +3877,7 @@ def q_kg_hits(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     iteration, driver holds one normalization scalar); directed pair
     dedup happens in one subject-keyed exchange."""
     from ..analytics import hits_over_edges
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "obj"])
@@ -3899,7 +3899,7 @@ def q_kg_hits(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         return pd.DataFrame({"src": d["subj"].to_numpy(object),
                              "dst": d["obj"].to_numpy(object)})
 
-    edges = partitioned_map_groups(
+    edges = hash_exchange(
         trip.map_batches(key, batch_format="pandas"), "__k",
         directed, num_buckets=16)
     out = hits_over_edges(edges, iters=2)
@@ -3948,7 +3948,7 @@ def q_kg_transe_scores(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     inside a subject-keyed exchange, each bucket ranking its rows
     against the broadcast (nv x 4) matrix with one vectorized
     |q - E| pass — no all-pairs shuffle."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -3997,7 +3997,7 @@ def q_kg_transe_scores(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             {"subj": t["subj"], "pred": t["pred"], "obj": t["obj"],
              "l1": l1.astype(np.int64), "rank": rank.astype(np.int64)})
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         trip.map_batches(partial, batch_format="pandas"), "__k",
         score, num_buckets=16)
     if out.count() == 0:
@@ -4105,7 +4105,7 @@ def q_kg_completeness_audit(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     emits exact per-predicate distinct-subject partials plus its own
     distinct-subject count; the driver folds O(preds x buckets) rows.
     -> (pred, n_subjects, coverage_ppm)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred"])
@@ -4136,7 +4136,7 @@ def q_kg_completeness_audit(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         return pd.concat([g, tot], ignore_index=True).astype(
             {"n": np.int64})
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         trip.map_batches(key, batch_format="pandas"), "__k",
         partial, num_buckets=16).to_pandas()
     if parts.empty or "pred" not in parts.columns:
@@ -4270,7 +4270,7 @@ def q_kg_cardinality_rules(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     driver folds O(preds x buckets) maxima.
     -> (pred, max_obj_per_subj, max_subj_per_obj, functional,
     inverse_functional)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "pred", "obj"])
@@ -4304,10 +4304,10 @@ def q_kg_cardinality_rules(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             return g.astype({"m": np.int64})
         return fn
 
-    mo = partitioned_map_groups(
+    mo = hash_exchange(
         trip.map_batches(keyed("subj"), batch_format="pandas"), "__k",
         maxcount("subj", "obj"), num_buckets=16).to_pandas()
-    ms = partitioned_map_groups(
+    ms = hash_exchange(
         trip.map_batches(keyed("obj"), batch_format="pandas"), "__k",
         maxcount("obj", "subj"), num_buckets=16).to_pandas()
     if (mo.empty or "pred" not in mo.columns
@@ -4438,7 +4438,7 @@ def q_kg_sink_entities(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     One entity-keyed exchange over the tagged endpoint stream (both
     roles of an entity co-locate, so the comparison is bucket-local).
     -> (ent, n_as_obj, n_as_subj)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["conv_id", "subj", "obj"])
@@ -4475,7 +4475,7 @@ def q_kg_sink_entities(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         out = out[out["n_as_obj"] > out["n_as_subj"]]
         return out.reset_index(drop=True) if len(out) else empty_out
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         trip.map_batches(endpoints, batch_format="pandas"), "ent",
         sinks, num_buckets=16)
     if out.count() == 0:
@@ -4516,7 +4516,7 @@ def q_kg_cycles3(sf_dir: str) -> pd.DataFrame:
     vocabulary property, not a corpus-size property (the
     canonicalization bound, `stages/canonicalize.py`).
     -> one row (n_nodes, n_edges, n_cycles3)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     trip = pipe.triples().select_columns(["subj", "obj"])
@@ -4541,7 +4541,7 @@ def q_kg_cycles3(sf_dir: str) -> pd.DataFrame:
                                  "obj": pd.Series(dtype=object)})
         return df.drop_duplicates(["subj", "obj"])[["subj", "obj"]]
 
-    e = partitioned_map_groups(
+    e = hash_exchange(
         trip.map_batches(key, batch_format="pandas"), "__k", dedup,
         num_buckets=16).to_pandas()
     if e.empty or "subj" not in e.columns:
@@ -4586,7 +4586,7 @@ def q_kg_predicate_by_role(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     Rides the relation mentions (doc_key window parse -> global turn
     -> the adapter's cyclic role stamp); per-block partials collapse
     to the tiny (pred, role) domain before one keyed exchange."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     pipe = from_documents_table(sf_dir)
     spw = WIN // TT
@@ -4627,7 +4627,7 @@ def q_kg_predicate_by_role(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             n_mentions=("n", "sum"), n_convs=("conv_id", "nunique"))
         return g.astype({"n_mentions": np.int64, "n_convs": np.int64})
 
-    out = partitioned_map_groups(partials, "key", final, num_buckets=8)
+    out = hash_exchange(partials, "key", final, num_buckets=8)
     if out.count() == 0:
         return pd.DataFrame({c: pd.Series(dtype=t)
                              for c, t in _OUT.items()})

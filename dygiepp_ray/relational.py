@@ -22,7 +22,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from .core import partitioned_map_groups, ts_epoch_us
+from .core import hash_exchange, ts_epoch_us
 
 
 def q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
@@ -63,7 +63,7 @@ def q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
         df["__gkey"] = df["l_returnflag"].str.cat(df["l_linestatus"], sep="|")
         return df
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         partials.map_batches(keyed, batch_format="pandas"),
         "__gkey",
         lambda df: final(df.drop(columns="__gkey")),
@@ -116,7 +116,7 @@ def segment_revenue(sf_dir: str) -> ray.data.Dataset:
         g["n_orders"] = g["n_orders"].astype(np.int64)
         return g
 
-    return partitioned_map_groups(partials, "c_mktsegment", final, num_buckets=4)
+    return hash_exchange(partials, "c_mktsegment", final, num_buckets=4)
 
 
 SQL_SEGMENT_REVENUE = """
@@ -191,7 +191,7 @@ def region_revenue(sf_dir: str) -> ray.data.Dataset:
         g["n_orders"] = g["n_orders"].astype(np.int64)
         return g
 
-    return partitioned_map_groups(
+    return hash_exchange(
         partials.map_batches(keyed, batch_format="pandas"),
         "__rkey",
         lambda df: final(df.drop(columns="__rkey")),
@@ -263,7 +263,7 @@ def events_tumbling(sf_dir: str, window_s: int = 3600) -> ray.data.Dataset:
         g["window_start"] = g["window_start"].astype(np.int64)
         return g
 
-    return partitioned_map_groups(
+    return hash_exchange(
         partials.map_batches(keyed, batch_format="pandas"),
         "__wkey",
         lambda df: final(df.drop(columns="__wkey")),
@@ -322,7 +322,7 @@ def events_hopping(sf_dir: str, size_s: int = 7200, hop_s: int = 3600) -> ray.da
         g["window_start"] = g["window_start"].astype(np.int64)
         return g
 
-    return partitioned_map_groups(
+    return hash_exchange(
         partials.map_batches(keyed, batch_format="pandas"),
         "__wkey",
         lambda df: final(df.drop(columns="__wkey")),
@@ -379,7 +379,7 @@ def events_gap_histogram(sf_dir: str) -> pd.DataFrame:
         return g.rename(columns={"size": "n"}).astype(
             {"bucket": np.int64, "n": np.int64})
 
-    parts = partitioned_map_groups(ds, "user_id", gaps,
+    parts = hash_exchange(ds, "user_id", gaps,
                                    num_buckets=16).to_pandas()
     if len(parts) == 0 or "event_type" not in parts.columns:
         return empty_out
@@ -436,7 +436,7 @@ def events_dedup_window(sf_dir: str, window_s: int = 60) -> pd.DataFrame:
         return m.astype({c: np.int64
                          for c in ("n_total", "n_kept", "n_dropped")})
 
-    parts = partitioned_map_groups(ds, "user_id", per_bucket,
+    parts = hash_exchange(ds, "user_id", per_bucket,
                                    num_buckets=16).to_pandas()
     if len(parts) == 0 or "event_type" not in parts.columns:
         return empty_out
@@ -483,7 +483,7 @@ def sessionize(sf_dir: str, gap_s: int = 1800) -> ray.data.Dataset:
             {"user_id": np.int64, "n_events": np.int64, "n_sessions": np.int64}
         )
 
-    return partitioned_map_groups(ds, "user_id", sessions, num_buckets=16)
+    return hash_exchange(ds, "user_id", sessions, num_buckets=16)
 
 
 SQL_SESSIONIZE = """
@@ -546,7 +546,7 @@ def distinct_event_users(sf_dir: str) -> ray.data.Dataset:
         g = df.groupby("event_type", sort=False)["user_id"].nunique().rename("n_users")
         return g.reset_index().astype({"n_users": np.int64})
 
-    return partitioned_map_groups(partials, "event_type", final, num_buckets=4)
+    return hash_exchange(partials, "event_type", final, num_buckets=4)
 
 
 SQL_DISTINCT_EVENT_USERS = """
@@ -609,7 +609,7 @@ def top_docs_per_source(sf_dir: str, k: int = 3) -> ray.data.Dataset:
         out["n_chars"] = out["n_chars"].astype(np.int64)
         return out
 
-    return partitioned_map_groups(partials, "source", final, num_buckets=4)
+    return hash_exchange(partials, "source", final, num_buckets=4)
 
 
 SQL_TOP_DOCS_PER_SOURCE = """
@@ -733,7 +733,7 @@ def pack_sequences_dataset(
             }
         )
 
-    locals_ds = partitioned_map_groups(keyed, "ckey", local_cumsum, num_buckets)
+    locals_ds = hash_exchange(keyed, "ckey", local_cumsum, num_buckets)
 
     totals = locals_ds.map_batches(
         lambda df: (
@@ -759,7 +759,7 @@ def pack_sequences_dataset(
             {"ckey": d["ckey"], "offset": (cum - d["chunk_total"]).astype(np.int64)}
         )
 
-    offs = partitioned_map_groups(totals, "source", offsets, num_buckets=4)
+    offs = hash_exchange(totals, "source", offsets, num_buckets=4)
 
     def assign(l: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -852,7 +852,7 @@ def funnel_steps(sf_dir: str, steps: tuple[str, ...] = FUNNEL_STEPS) -> pd.DataF
             prev = cur
         return pd.DataFrame(rows, columns=["step", "step_name", "n_users"])
 
-    partials = partitioned_map_groups(slim, "user_id", per_bucket).to_pandas()
+    partials = hash_exchange(slim, "user_id", per_bucket).to_pandas()
     # always emit one row per step (the SQL twin's count(*) over an
     # empty CTE is a 0 row, never an absent row)
     totals = {name: 0 for name in steps}
@@ -1029,7 +1029,7 @@ def cohort_retention(sf_dir: str) -> pd.DataFrame:
             .reset_index(name="n_users")
         )
 
-    partials = partitioned_map_groups(active, "user_id", per_bucket).to_pandas()
+    partials = hash_exchange(active, "user_id", per_bucket).to_pandas()
     if partials.empty or "cohort_day" not in partials.columns:
         return pd.DataFrame(
             {c: pd.Series(dtype=np.int64)
@@ -1245,7 +1245,7 @@ def price_histogram(sf_dir: str, bin_cents: int = 25_000_00) -> ray.data.Dataset
         ).reset_index()
         return g.astype({"bin": np.int64, "n": np.int64, "sum_cents": np.int64})
 
-    return partitioned_map_groups(partials, "bin", merge, num_buckets=4)
+    return hash_exchange(partials, "bin", merge, num_buckets=4)
 
 
 SQL_PRICE_HISTOGRAM = """
@@ -1308,7 +1308,7 @@ def histogram_quantiles(
             rows, columns=["flag", "n", "p50_cents", "p95_cents"]
         ).astype({"n": np.int64, "p50_cents": np.int64, "p95_cents": np.int64})
 
-    return partitioned_map_groups(partials, "flag", quantiles, num_buckets=4)
+    return hash_exchange(partials, "flag", quantiles, num_buckets=4)
 
 
 SQL_HISTOGRAM_QUANTILES = """
@@ -1376,7 +1376,7 @@ def events_moving_sum(sf_dir: str, window: int = 3) -> ray.data.Dataset:
             {"event_id": eid, "user_id": uid, "mov_cents": mov.astype(np.int64)}
         )
 
-    return partitioned_map_groups(ds, "user_id", moving, num_buckets=16)
+    return hash_exchange(ds, "user_id", moving, num_buckets=16)
 
 
 SQL_EVENTS_MOVING_SUM = """
@@ -1423,7 +1423,7 @@ def window_distinct_users(
             {"window_start": np.int64, "n_users": np.int64}
         )
 
-    return partitioned_map_groups(partials, "window_start", final, num_buckets=8)
+    return hash_exchange(partials, "window_start", final, num_buckets=8)
 
 
 SQL_WINDOW_DISTINCT_USERS = """
@@ -1463,7 +1463,7 @@ def events_lag(sf_dir: str) -> ray.data.Dataset:
         gap[new_user] = -1
         return pd.DataFrame({"event_id": eid, "user_id": uid, "gap_us": gap})
 
-    return partitioned_map_groups(ds, "user_id", lag, num_buckets=16)
+    return hash_exchange(ds, "user_id", lag, num_buckets=16)
 
 
 SQL_EVENTS_LAG = """
@@ -1497,7 +1497,7 @@ def _sum_type_pairs(parts: ray.data.Dataset, num_buckets: int = 4) -> ray.data.D
         g = df.groupby(["from_type", "to_type"], as_index=False).agg(n=("n", "sum"))
         return g.astype({"n": np.int64})
 
-    return partitioned_map_groups(
+    return hash_exchange(
         parts.map_batches(keyed, batch_format="pandas"),
         "__tkey",
         lambda df: final(df.drop(columns="__tkey", errors="ignore")),
@@ -1536,7 +1536,7 @@ def event_transitions(sf_dir: str) -> ray.data.Dataset:
         ).groupby(["from_type", "to_type"], as_index=False).size()
         return g.rename(columns={"size": "n"}).astype({"n": np.int64})
 
-    parts = partitioned_map_groups(ds, "user_id", transitions, num_buckets=16)
+    parts = hash_exchange(ds, "user_id", transitions, num_buckets=16)
     return _sum_type_pairs(parts)
 
 
@@ -1615,7 +1615,7 @@ def events_within_window(
         ).size()
         return g.rename(columns={"size": "n"}).astype({"n": np.int64})
 
-    parts = partitioned_map_groups(ds, "user_id", pairs, num_buckets=16)
+    parts = hash_exchange(ds, "user_id", pairs, num_buckets=16)
     return _sum_type_pairs(parts)
 
 
@@ -1690,7 +1690,7 @@ def profile_orders(sf_dir: str) -> ray.data.Dataset:
         g.loc[no_vals, ["min_v", "max_v"]] = 0
         return g.astype({c: np.int64 for c in ("n", "n_null", "min_v", "max_v")})
 
-    out = partitioned_map_groups(partials, "column", merge, num_buckets=4)
+    out = hash_exchange(partials, "column", merge, num_buckets=4)
 
     def ensure_all_columns(df: pd.DataFrame) -> pd.DataFrame:
         # zero-row input never runs the partials: emit the 4 all-zero
@@ -1804,7 +1804,7 @@ def ddsketch_quantiles(sf_dir: str, sub_bits: int = 3) -> ray.data.Dataset:
         ).astype({c: np.int64 for c in
                   ("n", "p50_ub_cents", "p95_ub_cents", "p99_ub_cents")})
 
-    return partitioned_map_groups(partials, "event_type", quantiles, num_buckets=4)
+    return hash_exchange(partials, "event_type", quantiles, num_buckets=4)
 
 
 # length(bin(v)) == bit_length for v >= 1; shifts/masks mirror the
@@ -1881,7 +1881,7 @@ def key_skew_profile(sf_dir: str, top_k: int = 20) -> ray.data.Dataset:
         )
         return g.astype({"user_id": np.int64, "n": np.int64})
 
-    survivors = partitioned_map_groups(partials, "user_id", merge_topk,
+    survivors = hash_exchange(partials, "user_id", merge_topk,
                                        num_buckets=8)
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
@@ -2113,7 +2113,7 @@ def customer_order_dist(sf_dir: str) -> ray.data.Dataset:
         g = df.groupby("n_orders", sort=False)["n_customers"].sum()
         return g.reset_index().astype(np.int64)
 
-    return partitioned_map_groups(dist_partials, "n_orders", final, num_buckets=2)
+    return hash_exchange(dist_partials, "n_orders", final, num_buckets=2)
 
 
 SQL_CUSTOMER_ORDER_DIST = """
@@ -2281,7 +2281,7 @@ def pivot_events(sf_dir: str) -> ray.data.Dataset:
         g = df.groupby("day", sort=False)[cols + ["purchase_cents"]].sum()
         return g.reset_index().astype(np.int64)
 
-    return partitioned_map_groups(partials, "day", final, num_buckets=4)
+    return hash_exchange(partials, "day", final, num_buckets=4)
 
 
 SQL_PIVOT_EVENTS = """
@@ -2433,7 +2433,7 @@ def balance_ntile(sf_dir: str, tiles: int = 10) -> pd.DataFrame:
     # per-batch partials merge to the global histogram on a keyed
     # exchange BEFORE the driver collect: the driver holds O(domain)
     # rows, not O(batches x batch-distinct-cents)
-    partials = partitioned_map_groups(
+    partials = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "cents", merge,
         num_buckets=8,
     ).to_pandas()
@@ -2841,7 +2841,7 @@ def local_supplier_volume(
              "revenue_x1e4": g["rev"].to_numpy(np.int64)}
         )
 
-    out = partitioned_map_groups(parts, "n_nationkey", final, num_buckets=4)
+    out = hash_exchange(parts, "n_nationkey", final, num_buckets=4)
     # a fully-empty exchange passes column-less blocks through, and a
     # 0-row Dataset's to_pandas() drops the schema entirely: hand back
     # the typed empty frame itself (the exchange is eager, counting is
@@ -2916,7 +2916,7 @@ def cheapest_supplier(sf_dir: str) -> ray.data.Dataset:
              "min_price": df["l_extendedprice"].round(2).to_numpy()}
         )
 
-    return partitioned_map_groups(partials, "l_partkey", final, num_buckets=8)
+    return hash_exchange(partials, "l_partkey", final, num_buckets=8)
 
 
 SQL_CHEAPEST_SUPPLIER = """
@@ -2961,7 +2961,7 @@ def user_paths(sf_dir: str, num_buckets: int = 16) -> ray.data.Dataset:
         p = df.groupby("user_id", sort=False)["event_type"].agg(">".join)
         return pd.DataFrame({"path": p.to_numpy(object)})
 
-    per_user = partitioned_map_groups(ds, "user_id", paths, num_buckets)
+    per_user = hash_exchange(ds, "user_id", paths, num_buckets)
 
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "path" not in df.columns:
@@ -2979,7 +2979,7 @@ def user_paths(sf_dir: str, num_buckets: int = 16) -> ray.data.Dataset:
         g["n_users"] = g["n_users"].astype(np.int64)
         return g
 
-    return partitioned_map_groups(
+    return hash_exchange(
         per_user.map_batches(count_partial, batch_format="pandas"),
         "path", count_final, num_buckets,
     )
@@ -3046,7 +3046,7 @@ def events_resample(
 
     # exact per-(type, window) aggregates: a (type, window) pair lives
     # entirely in its type's bucket, so no further merge is needed
-    agg = partitioned_map_groups(partials, "event_type", final,
+    agg = hash_exchange(partials, "event_type", final,
                                  num_buckets).to_pandas()
     if agg.empty or "window_start" not in agg.columns:
         return partial(pd.DataFrame())
@@ -3149,7 +3149,7 @@ def users_setop(
              "setop": lab[g.to_numpy(np.int64)]}
         )
 
-    return partitioned_map_groups(partials, "user_id", final, num_buckets)
+    return hash_exchange(partials, "user_id", final, num_buckets)
 
 
 SQL_USERS_SETOP = """
@@ -3227,7 +3227,7 @@ def zorder_layout(
         )
         return g.astype(_EMPTY)
 
-    return partitioned_map_groups(partials, "part_id", merge, num_buckets)
+    return hash_exchange(partials, "part_id", merge, num_buckets)
 
 
 def purchase_attribution(
@@ -3282,7 +3282,7 @@ def purchase_attribution(
             {"event_id": eid[keep], "attr_ts_us": run[keep]}
         )
 
-    return partitioned_map_groups(ds, "user_id", attribute, num_buckets)
+    return hash_exchange(ds, "user_id", attribute, num_buckets)
 
 
 def rfm_segments(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
@@ -3331,7 +3331,7 @@ def rfm_segments(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
         )
         return g.astype({c: np.int64 for c in ["r", "f", "m"]})
 
-    users = partitioned_map_groups(
+    users = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"),
         "o_custkey", merge, num_buckets,
     )
@@ -3481,7 +3481,7 @@ def events_rate_alert(
         return out.astype({"window_start": np.int64, "n": np.int64,
                            "trail_sum": np.int64})
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         partials, "event_type", alerts, num_buckets
     ).to_pandas()
     # alerts are rare by construction (the output is the exception
@@ -3567,7 +3567,7 @@ def user_streaks(sf_dir: str, num_buckets: int = 16) -> ray.data.Dataset:
         )
         return out.astype({"user_id": np.int64, "longest_streak": np.int64})
 
-    return partitioned_map_groups(pairs, "user_id", streaks, num_buckets)
+    return hash_exchange(pairs, "user_id", streaks, num_buckets)
 
 
 SQL_USER_STREAKS = """
@@ -3643,7 +3643,7 @@ def user_active_time(
         )
         return out.astype({"user_id": np.int64, "active_us": np.int64})
 
-    return partitioned_map_groups(pairs, "user_id", union_len, num_buckets)
+    return hash_exchange(pairs, "user_id", union_len, num_buckets)
 
 
 def events_late_arrivals(
@@ -3700,7 +3700,7 @@ def events_late_arrivals(
         )
         return g.astype(_OUT)
 
-    return partitioned_map_groups(ds, "user_id", late, num_buckets)
+    return hash_exchange(ds, "user_id", late, num_buckets)
 
 
 SQL_EVENTS_LATE_ARRIVALS = """
@@ -4079,7 +4079,7 @@ def small_quantity_revenue(
              "k": np.asarray([int(keep.sum())], dtype=np.int64)}
         )
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         li, "l_partkey", bucket_sum, num_buckets
     ).to_pandas()
     if parts.empty or "cents" not in parts.columns or \
@@ -4197,7 +4197,7 @@ def events_ohlc(
                    "low_v", "close_v", "n"]]
         return out.astype({"window_start": np.int64, "n": np.int64})
 
-    return partitioned_map_groups(partials, "event_type", merge, num_buckets)
+    return hash_exchange(partials, "event_type", merge, num_buckets)
 
 
 SQL_EVENTS_OHLC = """
@@ -4364,7 +4364,7 @@ def contingency_table(sf_dir: str, num_buckets: int = 4) -> pd.DataFrame:
         ].sum()
         return g.astype({"observed": np.int64})
 
-    cells = partitioned_map_groups(
+    cells = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"),
         "o_orderstatus", merge, num_buckets,
     ).to_pandas()
@@ -4966,7 +4966,6 @@ def top_supplier_revenue(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
     winning suppkeys (a handful of int64s) into a vectorized supplier
     scan for the names.  No float division anywhere.
     -> (s_suppkey, s_name, total_revenue_cents)."""
-    from .core import hash_exchange
 
     def lpart(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "l_suppkey" not in df.columns:
@@ -5171,7 +5170,6 @@ def slowest_supplier_orders(
     driver folds O(buckets x active suppliers) dimension-class rows and
     broadcasts only the k winning suppkeys into the supplier name scan.
     -> (s_suppkey, s_name, n_orders)."""
-    from .core import hash_exchange
 
     def lmax(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "l_orderkey" not in df.columns:
@@ -5410,7 +5408,6 @@ def events_top_users_window(
     O(windows x k) rows.  A hot window stays one bucket's problem, and
     the partial counts bound its input by distinct users, not events.
     -> (win_start_us, user_id, n_events)."""
-    from .core import hash_exchange
 
     def epart(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "user_id" not in df.columns:
@@ -5983,7 +5980,6 @@ def important_parts(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
     ``c > (3*total) // (2*n_parts)`` (exact for integers), so the
     filter is a vectorized int64 compare.  -> (l_partkey,
     revenue_cents) for the qualifying parts only."""
-    from .core import hash_exchange
 
     def lpart(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "l_partkey" not in df.columns:
@@ -6523,7 +6519,7 @@ def session_duration_quantiles(
             {"dur_us": np.concatenate(out) if out
              else np.empty(0, np.int64)})
 
-    durs = partitioned_map_groups(ds, "user_id", durations)
+    durs = hash_exchange(ds, "user_id", durations)
     out = exact_quantiles(durs, "dur_us", [0.5, 0.9, 0.99])
     if len(out):
         out["value"] = out["value"].astype(np.int64)
@@ -7115,7 +7111,6 @@ def events_watermark_agg(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
     max per type (the order-sensitive scan), then partials collapse to
     per-(type, window) counts.  -> (event_type, window_us, n_on_time,
     n_late)."""
-    from .core import partitioned_map_groups
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "ts"]
@@ -7147,7 +7142,7 @@ def events_watermark_agg(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
                  "n_late": h["n_late"].to_numpy(np.int64)}))
         return pd.concat(out, ignore_index=True)
 
-    parts = partitioned_map_groups(ds, "event_type", agg,
+    parts = hash_exchange(ds, "event_type", agg,
                                    num_buckets=num_buckets).to_pandas()
     if parts.empty or "event_type" not in parts.columns:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
@@ -7189,7 +7184,6 @@ def session_table(sf_dir: str, gap_s: int = 1800) -> pd.DataFrame:
     One user-keyed exchange; session ordinals come from the in-bucket
     gap scan (a user never spans buckets, so ordinals are global).
     -> (user_id, session_id, start_us, end_us, n_events)."""
-    from .core import partitioned_map_groups
 
     gap_us = gap_s * 1_000_000
     ds = ray.data.read_parquet(
@@ -7218,7 +7212,7 @@ def session_table(sf_dir: str, gap_s: int = 1800) -> pd.DataFrame:
                  "n_events": d["size"].to_numpy(np.int64)}))
         return pd.concat(out, ignore_index=True)
 
-    out = partitioned_map_groups(ds, "user_id", sessions,
+    out = hash_exchange(ds, "user_id", sessions,
                                  num_buckets=8).to_pandas()
     if out.empty or "user_id" not in out.columns:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
@@ -7266,7 +7260,6 @@ def revenue_pareto(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
     on both sides) and the driver folds 10 rows.
     -> (decile, n_customers, revenue_cents, cum_share_x1e6)."""
     from .analytics import exact_quantiles
-    from .core import hash_exchange
 
     def opart(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "o_custkey" not in df.columns:
@@ -7469,7 +7462,7 @@ def mad_price_outliers(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
         return (df.groupby(["flag", "cents"], as_index=False)["n"].sum()
                 .astype({"cents": np.int64, "n": np.int64}))
 
-    hist = partitioned_map_groups(
+    hist = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "cents", merge,
         num_buckets,
     ).to_pandas()
@@ -7574,7 +7567,7 @@ def event_pattern_match(
         return pd.DataFrame({"user_id": seq.index.to_numpy(np.int64)[keep],
                              "n_matches": n[keep]})
 
-    return partitioned_map_groups(ds, "user_id", match, num_buckets)
+    return hash_exchange(ds, "user_id", match, num_buckets)
 
 
 SQL_EVENT_PATTERN_MATCH = """
@@ -7643,7 +7636,7 @@ def events_trailing_range(
                              "n_win": hi - lo,
                              "sum_cents_win": csum[hi] - csum[lo]})
 
-    return partitioned_map_groups(ds, "user_id", frame, num_buckets)
+    return hash_exchange(ds, "user_id", frame, num_buckets)
 
 
 SQL_EVENTS_TRAILING_RANGE = """
@@ -7700,7 +7693,7 @@ def chi2_independence(sf_dir: str, num_buckets: int = 4) -> pd.DataFrame:
         return (df.groupby(["event_type", "hour"], as_index=False)["n"]
                 .sum().astype({"hour": np.int64, "n": np.int64}))
 
-    cells = partitioned_map_groups(
+    cells = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "hour", merge,
         num_buckets,
     ).to_pandas()
@@ -7789,7 +7782,7 @@ def k_anonymity_violations(
                            as_index=False)["n"].sum()
                 .astype({"c_nationkey": np.int64, "n": np.int64}))
 
-    cells = partitioned_map_groups(
+    cells = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "c_nationkey",
         merge, num_buckets,
     ).to_pandas()
@@ -7949,7 +7942,7 @@ def conversion_lag_quantiles(
         return pd.DataFrame(
             {"lag_us": (g["t"] - g["v0"]).to_numpy(np.int64)})
 
-    per_user = partitioned_map_groups(ds, "user_id", lags, num_buckets)
+    per_user = hash_exchange(ds, "user_id", lags, num_buckets)
     out = exact_quantiles(per_user, "lag_us", [0.25, 0.5, 0.75, 0.95])
     if len(out) == 0:
         return pd.DataFrame({"q": pd.Series(dtype=np.float64),
@@ -8033,7 +8026,7 @@ def user_gap_mad(sf_dir: str, num_buckets: int = 16) -> ray.data.Dataset:
              "med_gap_us": med.to_numpy(np.int64),
              "mad_gap_us": md.reindex(med.index).to_numpy(np.int64)})
 
-    return partitioned_map_groups(ds, "user_id", mad, num_buckets)
+    return hash_exchange(ds, "user_id", mad, num_buckets)
 
 
 SQL_USER_GAP_MAD = """
@@ -8131,7 +8124,7 @@ def dau_wau_mau(sf_dir: str, num_buckets: int = 8) -> ray.data.Dataset:
 
     fan = ds.map_batches(pairs, batch_format="pandas").map_batches(
         fanout, batch_format="pandas")
-    return partitioned_map_groups(fan, "wday", count, num_buckets)
+    return hash_exchange(fan, "wday", count, num_buckets)
 
 
 SQL_DAU_WAU_MAU = """
@@ -8275,7 +8268,7 @@ def revenue_gini(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
         return (df.groupby("cents", as_index=False)["c"].sum()
                 .astype(np.int64))
 
-    hist = partitioned_map_groups(
+    hist = hash_exchange(
         ds.map_batches(partial, batch_format="pandas"), "cents", merge,
         num_buckets,
     ).to_pandas()
@@ -8470,7 +8463,7 @@ def basket_rules(sf_dir: str, num_buckets: int = 16) -> pd.DataFrame:
                  singles["size"].to_numpy(np.int64),
                  np.array([d["ok"].nunique()], np.int64)])})
 
-    parts = partitioned_map_groups(ob, "ok", per_order,
+    parts = hash_exchange(ob, "ok", per_order,
                                    num_buckets).to_pandas()
 
     out_cols = {"brand_a": object, "brand_b": object, "n_ab": np.int64,
@@ -8588,7 +8581,7 @@ def kaplan_meier(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
             d="sum", c=lambda s: int((1 - s).sum()))
         return g.astype(_H)
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         ds, "o_custkey", per_customer, num_buckets).to_pandas()
     if parts.empty or "wk" not in parts.columns:
         return empty
@@ -8700,7 +8693,7 @@ def conversion_ab_test(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
             n="size", c="sum")
         return g.astype(_A)
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         ds.map_batches(pre, batch_format="pandas"), "user_id", per_user,
         num_buckets).to_pandas()
 
@@ -8952,7 +8945,7 @@ def cohort_ltv(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
                            "nc": nc["size"].to_numpy(np.int64)})
         return pd.concat([rev, nc], ignore_index=True).astype(_P)
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         ds, "o_custkey", per_bucket, num_buckets).to_pandas()
     out_cols = {"cohort_month": np.int64, "age_months": np.int64,
                 "n_customers": np.int64, "cum_revenue_cents": np.int64}
@@ -9130,7 +9123,7 @@ def hll_error_audit(sf_dir: str, num_buckets: int = 8) -> pd.DataFrame:
         return pd.DataFrame({"event_type": g["event_type"],
                              "n": g["size"].astype(np.int64)})
 
-    exact = partitioned_map_groups(
+    exact = hash_exchange(
         ev.map_batches(pre, batch_format="pandas"), "user_id", count_part,
         num_buckets).to_pandas()
 
@@ -10215,7 +10208,7 @@ def orders_gap_analysis(sf_dir: str) -> ray.data.Dataset:
              "span_days": (a["hi"] - a["lo"]).to_numpy(np.int64),
              "max_gap_days": a["max_gap_days"].to_numpy(np.int64)})
 
-    return partitioned_map_groups(ds, "o_custkey", bucket, num_buckets=16)
+    return hash_exchange(ds, "o_custkey", bucket, num_buckets=16)
 
 
 SQL_ORDERS_GAP_ANALYSIS = """
@@ -10431,7 +10424,7 @@ def events_burst(sf_dir: str) -> ray.data.Dataset:
             rows.append((int(uid[lo]), hi - lo, best, at))
         return pd.DataFrame(rows, columns=list(out_cols)).astype(out_cols)
 
-    return partitioned_map_groups(ds, "user_id", bucket, num_buckets=16)
+    return hash_exchange(ds, "user_id", bucket, num_buckets=16)
 
 
 SQL_EVENTS_BURST = """
@@ -11257,7 +11250,6 @@ def contract_violations(sf_dir: str) -> pd.DataFrame:
     row per bucket leaves), so no rule ships more than O(rules +
     buckets) rows to the driver.
     -> (rule, n_violations)."""
-    from .core import partitioned_map_groups
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -11306,7 +11298,7 @@ def contract_violations(sf_dir: str) -> pd.DataFrame:
         c = df.groupby("o_orderkey").size()
         return pd.DataFrame({"n": [np.int64((c[c > 1] - 1).sum())]})
 
-    dup = partitioned_map_groups(
+    dup = hash_exchange(
         ds.map_batches(keyed, batch_format="pandas"), "__k",
         dupcount, num_buckets=8).to_pandas()
     n_dup = int(dup["n"].sum()) if "n" in dup.columns and len(dup) else 0
@@ -11528,7 +11520,6 @@ def duplicate_payments(sf_dir: str, window_days: int = 90) -> pd.DataFrame:
     generated bucket-locally (exact: both legs co-locate by key), so
     no all-pairs join ever forms.
     -> (o_custkey, band, key_a, key_b, day_gap)."""
-    from .core import partitioned_map_groups
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -11582,7 +11573,7 @@ def duplicate_payments(sf_dir: str, window_days: int = 90) -> pd.DataFrame:
             return empty_out
         return pd.DataFrame(rows, columns=list(_OUT)).astype(_OUT)
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         ds.map_batches(key, batch_format="pandas"), "__k",
         pairs, num_buckets=8)
     if out.count() == 0:
@@ -12243,8 +12234,6 @@ def pseudonymize_users(sf_dir: str) -> pd.DataFrame:
     n_source_ids > 1 OR n_events >= 64."""
     import hashlib
 
-    from .core import partitioned_map_groups
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id"])
     out_cols = {"pseudonym": object, "n_source_ids": np.int64,
@@ -12277,7 +12266,7 @@ def pseudonymize_users(sf_dir: str) -> pd.DataFrame:
         return g.astype({"n_source_ids": np.int64,
                          "n_events": np.int64})
 
-    out = partitioned_map_groups(parts, "pseudonym", final,
+    out = hash_exchange(parts, "pseudonym", final,
                                  num_buckets=16)
     pdf = out.to_pandas()
     if pdf.empty or "pseudonym" not in pdf.columns:
@@ -12394,7 +12383,6 @@ def user_value_auc(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
 
     ONE user-keyed exchange; per-bucket vectorized diff over each
     user's ordered events.  -> (user_id, n_events, auc2x)."""
-    from .core import partitioned_map_groups
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -12426,7 +12414,7 @@ def user_value_auc(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
              "n_events": out["size"].to_numpy(np.int64),
              "auc2x": out["a"].to_numpy(np.int64)})
 
-    out = partitioned_map_groups(ds, "user_id", fold, num_buckets=16)
+    out = hash_exchange(ds, "user_id", fold, num_buckets=16)
     if out.count() == 0:
         return empty_out
     return out
@@ -12476,8 +12464,6 @@ def frequent_event_sequences(sf_dir: str) -> pd.DataFrame:
     import itertools
     import re
 
-    from .core import partitioned_map_groups
-
     types = ["click", "error", "purchase", "view"]
     letters = {t: t[0] for t in types}
     pats = []
@@ -12512,7 +12498,7 @@ def frequent_event_sequences(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(rows).astype({"k": np.int64,
                                           "n_users": np.int64})
 
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         ds, "user_id", fold, num_buckets=16).to_pandas()
     if parts.empty or "pattern" not in parts.columns:
         return empty_out

@@ -150,6 +150,8 @@ def read_avro(blob: bytes) -> list[tuple[int, bytes]]:
             return out
         buf.seek(-1, io.SEEK_CUR)
         count = read_long(buf)
+        if count < 0:  # only map/array blocks may carry negative counts
+            raise ValueError("negative Avro block record count")
         size = read_long(buf)
         body = buf.read(size)
         if len(body) != size:

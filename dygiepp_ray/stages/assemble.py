@@ -9,7 +9,7 @@ suffixed ``_SPLIT_{i}``, renumbered ``sentence_start``; an oversized
 single sentence raises).
 
 This is the ONE required shuffle of the extraction pipeline.  It runs
-through ``core.partitioned_map_groups`` keyed on ``conv_id`` — a single
+through ``core.hash_exchange`` keyed on ``conv_id`` — a single
 all-to-all exchange into ``num_buckets`` hash buckets — with the bucket
 body in **Arrow/numpy end to end** (``fn_format="pyarrow"``): sort,
 tokenize-and-normalize, and all list-column construction are Arrow C
@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..core import partitioned_map_groups
+from ..core import hash_exchange
 from ..semantics import DEFAULT_CONFIG, ExtractionConfig
 
 DOC_SCHEMA = pa.schema(
@@ -43,6 +43,21 @@ DOC_SCHEMA = pa.schema(
     ]
 )
 
+# optional transcript columns carried onto documents: (input column,
+# output field).  An empty bucket must emit the same columns as a full one.
+_OPTIONAL_FIELDS = [
+    ("ts", pa.field("ts_us", pa.list_(pa.int64()))),
+    ("tool", pa.field("tools", pa.list_(pa.string()))),
+    ("weight", pa.field("weight", pa.float64())),
+]
+
+
+def _doc_schema(input_names: list[str]) -> pa.Schema:
+    """DOC_SCHEMA plus the optional fields whose input column is present."""
+    return pa.schema(
+        list(DOC_SCHEMA) + [f for src, f in _OPTIONAL_FIELDS if src in input_names]
+    )
+
 
 def _combine(col):
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -50,7 +65,7 @@ def _combine(col):
 
 def _assemble_bucket(tbl: pa.Table, cfg: ExtractionConfig) -> pa.Table:
     if tbl.num_rows == 0:
-        return DOC_SCHEMA.empty_table()
+        return _doc_schema(tbl.schema.names).empty_table()
     order = pc.sort_indices(
         tbl, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
     )
@@ -164,7 +179,7 @@ def _assemble_bucket(tbl: pa.Table, cfg: ExtractionConfig) -> pa.Table:
     if "weight" in tbl.schema.names:
         w = _combine(tbl["weight"]).cast(pa.float64())
         cols["weight"] = w.take(pa.array(outer[:-1], pa.int64()))
-    return pa.table(cols)
+    return pa.table(cols, schema=_doc_schema(tbl.schema.names))
 
 
 def assemble_documents(
@@ -173,7 +188,7 @@ def assemble_documents(
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """transcripts (conv_id, turn_idx, text [, role]) -> document rows."""
-    return partitioned_map_groups(
+    return hash_exchange(
         transcripts,
         key="conv_id",
         fn=lambda t: _assemble_bucket(t, cfg),

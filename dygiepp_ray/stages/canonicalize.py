@@ -26,13 +26,24 @@ import pyarrow as pa
 import ray.data
 
 from .. import semantics as S
-from ..core import partitioned_map_groups, stable_bucket
+from ..core import hash_exchange, stable_bucket
 
 ENTITY_SCHEMA = pa.schema(
     [
         ("entity_id", pa.string()),
         ("surface", pa.string()),
         ("label", pa.string()),
+        ("n_mentions", pa.int64()),
+        ("n_docs", pa.int64()),
+    ]
+)
+
+# phase-1 (salted partial) output; fixed so empty buckets keep the types
+_SALTED_SCHEMA = pa.schema(
+    [
+        ("surface", pa.string()),
+        ("label", pa.string()),
+        ("__skey", pa.string()),
         ("n_mentions", pa.int64()),
         ("n_docs", pa.int64()),
     ]
@@ -87,19 +98,15 @@ def canonicalize(
         kw["batch_size"] = None  # one batch per block preserves doc locality
     partials = mentions.map_batches(partial_exact, **kw)
 
-    def merge_salted(df: pd.DataFrame) -> pd.DataFrame:
+    def merge_salted(df: pd.DataFrame) -> pa.Table:
         # bucket key is (surface, salt) — hot surfaces spread over S buckets
-        if doc_local_batches:
-            return (
-                df.groupby(["surface", "label", "__skey"], sort=False)
-                .agg(n_mentions=("n_mentions", "sum"), n_docs=("n_docs", "sum"))
-                .reset_index()
-            )
-        return (
+        n_docs = ("n_docs", "sum") if doc_local_batches else ("doc_key", "nunique")
+        g = (
             df.groupby(["surface", "label", "__skey"], sort=False)
-            .agg(n_mentions=("n_mentions", "sum"), n_docs=("doc_key", "nunique"))
+            .agg(n_mentions=("n_mentions", "sum"), n_docs=n_docs)
             .reset_index()
         )
+        return pa.Table.from_pandas(g, schema=_SALTED_SCHEMA, preserve_index=False)
 
     def add_skey(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -107,9 +114,9 @@ def canonicalize(
         return df
 
     salted = partials.map_batches(add_skey, batch_format="pandas")
-    phase1 = partitioned_map_groups(salted, "__skey", merge_salted, num_buckets)
+    phase1 = hash_exchange(salted, "__skey", merge_salted, num_buckets)
 
-    def merge_final(df: pd.DataFrame) -> pd.DataFrame:
+    def merge_final(df: pd.DataFrame) -> pa.Table:
         g = (
             df.groupby(["surface", "label"], sort=False)
             .agg(n_mentions=("n_mentions", "sum"), n_docs=("n_docs", "sum"))
@@ -117,6 +124,6 @@ def canonicalize(
         )
         uniq = {s: S.entity_id(s) for s in g["surface"].unique()}
         g.insert(0, "entity_id", g["surface"].map(uniq))
-        return g[["entity_id", "surface", "label", "n_mentions", "n_docs"]]
+        return pa.Table.from_pandas(g, schema=ENTITY_SCHEMA, preserve_index=False)
 
-    return partitioned_map_groups(phase1, "surface", merge_final, num_buckets)
+    return hash_exchange(phase1, "surface", merge_final, num_buckets)

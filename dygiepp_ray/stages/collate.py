@@ -11,7 +11,7 @@ no sentence went missing.
 Here: ``collate`` = global ``ds.sort`` on sentence length (a real
 all-to-all) + a parallel per-range bin-packer (one Ray task per
 contiguous run of sorted blocks — no driver funnel);
-``uncollate`` = ``partitioned_map_groups`` on ``_orig_doc_key`` with an
+``uncollate`` = ``hash_exchange`` on ``_orig_doc_key`` with an
 in-group sort on ``_orig_sent_ix`` — exactly the conv_id/turn_idx
 regroup pattern.  Round-trip safety is test-enforced like the
 reference's ``collate_test.py:82-106``.
@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..core import partitioned_map_groups
+from ..core import hash_exchange
 
 SENT_SCHEMA = pa.schema(
     [
@@ -474,4 +474,4 @@ def uncollate(pseudo_docs: ray.data.Dataset) -> ray.data.Dataset:
     def regroup(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(["_orig_doc_key", "_orig_sent_ix"], ignore_index=True)
 
-    return partitioned_map_groups(flat, "_orig_doc_key", regroup, num_buckets=16)
+    return hash_exchange(flat, "_orig_doc_key", regroup, num_buckets=16)

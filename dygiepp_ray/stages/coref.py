@@ -26,7 +26,7 @@ import pandas as pd
 
 import ray.data
 
-from ..core import partitioned_map_groups
+from ..core import hash_exchange
 
 _OUT_COLS = ["doc_key", "conv_id", "cluster_ix", "start", "end", "surface"]
 
@@ -103,4 +103,4 @@ def clusters_from_mentions(
             {"cluster_ix": np.int32, "start": np.int32, "end": np.int32}
         )
 
-    return partitioned_map_groups(mentions, "doc_key", per_bucket, num_buckets)
+    return hash_exchange(mentions, "doc_key", per_bucket, num_buckets)

@@ -37,6 +37,8 @@ Semantics (shared with the oracle via ``semantics.py``):
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -46,6 +48,8 @@ import ray.data
 
 from .. import semantics as S
 from ..semantics import DEFAULT_CONFIG, ExtractionConfig
+
+_LOG = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # annotation struct types (FIXTURES.md F3/F4; doc-level token offsets,
@@ -453,9 +457,7 @@ def extract(
             max(concurrency) if isinstance(concurrency, tuple) else concurrency
         ) > cap
         if cpus and too_big:
-            import logging
-
-            logging.getLogger(__name__).warning(
+            _LOG.warning(
                 "extract: clamping actor-pool concurrency %s to %d "
                 "(pool >= CPU budget starves the read stage)",
                 concurrency, cap,

@@ -59,14 +59,14 @@ def merge_overlapping_mentions(mentions: ray.data.Dataset) -> ray.data.Dataset:
     # mentions of one doc always arrive inside one exploded block row-run;
     # a batch boundary could split a sentence only across map_batches calls,
     # so group-key completeness is restored with a keyed repartition first.
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         df["__mkey"] = df["doc_key"].str.cat(df["sent_ix"].astype(str), sep="|")
         return df
 
-    return partitioned_map_groups(
+    return hash_exchange(
         mentions.map_batches(keyed, batch_format="pandas"),
         "__mkey",
         lambda df: fn(df.drop(columns="__mkey")),

@@ -18,7 +18,7 @@ import pyarrow as pa
 import ray.data
 
 from .. import semantics as S
-from ..core import partitioned_map_groups
+from ..core import hash_exchange
 
 TRIPLE_KEY = ["conv_id", "subj", "pred", "obj"]
 
@@ -81,7 +81,7 @@ def triples_from_relations(
     def dedup(df: pd.DataFrame) -> pd.DataFrame:
         return _finalize_ids(df.drop(columns="__tkey"))
 
-    return partitioned_map_groups(local, "__tkey", dedup, num_buckets)
+    return hash_exchange(local, "__tkey", dedup, num_buckets)
 
 
 def triples_local_dedup(relations: ray.data.Dataset) -> ray.data.Dataset:

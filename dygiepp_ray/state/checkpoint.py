@@ -36,7 +36,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..core import partitioned_map_groups, stable_bucket
+from ..core import hash_exchange, stable_bucket
 
 
 def _part_dir(out_dir: str, bucket: int) -> str:
@@ -109,9 +109,9 @@ def write_partitioned(
         os.replace(mpath + ".tmp", mpath)
         return pd.DataFrame({"bucket": [bucket], "rows": [len(df)], "skipped": [False]})
 
-    # NOTE: partitioned_map_groups buckets with the same stable hash used in
+    # NOTE: hash_exchange buckets with the same stable hash used in
     # write_bucket, so each group lands wholly in one partition directory.
-    results = partitioned_map_groups(
+    results = hash_exchange(
         ds, key, write_bucket, num_buckets=num_partitions
     ).to_pandas()
     results = results[results["bucket"] >= 0]

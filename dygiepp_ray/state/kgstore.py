@@ -24,7 +24,7 @@ import pandas as pd
 
 import ray.data
 
-from ..core import partitioned_map_groups, stable_bucket
+from ..core import hash_exchange, stable_bucket
 from .checkpoint import _part_dir, write_partitioned
 
 _STORE_COLS = {"subj": object, "pred": object, "obj": object,
@@ -57,7 +57,7 @@ def save_kg_store(
     ``part=N`` directory per subject bucket — idempotent per partition
     (a re-run after a crash skips every manifested bucket).  Returns
     the run manifest."""
-    rolled = partitioned_map_groups(triples, "subj", _rollup,
+    rolled = hash_exchange(triples, "subj", _rollup,
                                     num_buckets=num_buckets)
     return write_partitioned(rolled, path, key="subj",
                              num_partitions=num_buckets)
@@ -82,7 +82,7 @@ def upsert_kg_store(
     delta) STORE rows (distinct triples — never O(corpus)); a hash
     delta of any size touches ~every subject bucket, so unchanged-
     partition copy-through is deliberately not attempted."""
-    delta = partitioned_map_groups(delta_triples, "subj", _rollup,
+    delta = hash_exchange(delta_triples, "subj", _rollup,
                                    num_buckets=num_buckets)
     from .checkpoint import completed_partitions, read_partitioned
 
@@ -106,7 +106,7 @@ def upsert_kg_store(
         g["n_convs"] = g["n_convs"].astype(np.int64)
         return g
 
-    merged = partitioned_map_groups(base.union(delta), "subj", merge,
+    merged = hash_exchange(base.union(delta), "subj", merge,
                                     num_buckets=num_buckets)
     return write_partitioned(merged, out_path, key="subj",
                              num_partitions=num_buckets)

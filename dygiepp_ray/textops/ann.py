@@ -250,7 +250,7 @@ def embedding_near_dups(
     task — deterministic, nothing broadcast, no ``take(1)`` probe
     execution of the upstream plan.
     """
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
     from .dedup import attach_pair_values
 
     masks = _probe_masks(n_planes, probe_bits)
@@ -293,11 +293,11 @@ def embedding_near_dups(
             return empty
         return pd.concat(outs, ignore_index=True).drop_duplicates(ignore_index=True)
 
-    cand = partitioned_map_groups(probed, "bucket", pairs, num_buckets)
+    cand = hash_exchange(probed, "bucket", pairs, num_buckets)
 
     from .dedup import _add_pair_key
 
-    deduped = partitioned_map_groups(
+    deduped = hash_exchange(
         cand.map_batches(_add_pair_key, batch_format="pandas"),
         "pkey",
         lambda df: df.drop_duplicates(["id_a", "id_b"], ignore_index=True).drop(columns="pkey"),
@@ -486,7 +486,7 @@ def _ivf_query(
     qlists = np.argsort(qd, axis=1)[:, :nprobe]          # (Q, nprobe)
     queries_ref = ray.put({"ids": qids, "vecs": qvecs, "lists": qlists})
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     def scan(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "list_id" not in df.columns:
@@ -521,7 +521,7 @@ def _ivf_query(
             )
         return pd.concat(outs, ignore_index=True)[["query_id", "vec_id", "sim"]]
 
-    cands = partitioned_map_groups(listed, "list_id", scan, num_buckets=8).to_pandas()
+    cands = hash_exchange(listed, "list_id", scan, num_buckets=8).to_pandas()
     out = []
     if len(cands) and "query_id" in cands.columns:
         for qid, g in cands.groupby("query_id", sort=True):
@@ -655,7 +655,7 @@ def lsh_topk(
 
     signed = embeddings.map_batches(sign, batch_format="pandas")
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     def score_bucket(df: pd.DataFrame) -> pd.DataFrame:
         q = ray.get(queries_ref)
@@ -684,7 +684,7 @@ def lsh_topk(
             )
         return pd.concat(outs, ignore_index=True)[["query_id", "vec_id", "sim"]]
 
-    cands = partitioned_map_groups(signed, "bucket", score_bucket, num_buckets).to_pandas()
+    cands = hash_exchange(signed, "bucket", score_bucket, num_buckets).to_pandas()
     out = []
     if len(cands) and "query_id" in cands.columns:
         for qid, g in cands.groupby("query_id", sort=True):
@@ -717,7 +717,7 @@ def label_centroids(
     built by vectorized scatter-add (labels x dims rows per batch —
     independent of row count), merged by integer addition in a tiny
     keyed exchange.  -> (label, dim, sum_x1e6, n)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     _EMPTY = {"label": object, "dim": np.int64, "sum_x1e6": np.int64, "n": np.int64}
 
@@ -754,7 +754,7 @@ def label_centroids(
         )
         return g.astype({"dim": np.int64, "sum_x1e6": np.int64, "n": np.int64})
 
-    return partitioned_map_groups(partials, "label", merge, num_buckets)
+    return hash_exchange(partials, "label", merge, num_buckets)
 
 
 def embedding_gram(
@@ -777,7 +777,7 @@ def embedding_gram(
     n*gram - s_i*s_j (BIGINT-exact while n * (scale*|x|max)^2 < 2^63 —
     ~1e12 rows at |x| <= 1, scale 1e3; the partial guards the
     quantized magnitude so overflow raises instead of wrapping)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     _EMPTY = {"i": np.int64, "j": np.int64, "val": np.int64}
 
@@ -822,7 +822,7 @@ def embedding_gram(
         g = df.groupby(["i", "j"], as_index=False)["val"].sum()
         return g.astype({"i": np.int64, "j": np.int64, "val": np.int64})
 
-    return partitioned_map_groups(partials, "i", merge, num_buckets)
+    return hash_exchange(partials, "i", merge, num_buckets)
 
 
 def label_gram(
@@ -837,7 +837,7 @@ def label_gram(
     label-keyed exchange merges by integer addition.
     -> (label, i, j, val): (i, j) gram for i <= j, (i, -1) sums,
     (-1, -1) count — per label."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     _EMPTY = {"label": np.int64, "i": np.int64, "j": np.int64,
               "val": np.int64}
@@ -882,7 +882,7 @@ def label_gram(
         g = df.groupby(["label", "i", "j"], as_index=False)["val"].sum()
         return g.astype(_EMPTY)
 
-    return partitioned_map_groups(partials, "label", merge, num_buckets)
+    return hash_exchange(partials, "label", merge, num_buckets)
 
 
 def power_iteration(
@@ -1310,7 +1310,7 @@ def npy_shard_roundtrip(
     driver.  -> (shard_id, n_vecs, q_sum)."""
     import ast
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     out_cols = {"shard_id": np.int64, "n_vecs": np.int64,
                 "q_sum": np.int64}
@@ -1347,7 +1347,7 @@ def npy_shard_roundtrip(
             rows["q_sum"].append(int(q.sum()))
         return pd.DataFrame(rows).astype(out_cols)
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         embeddings.map_batches(key, batch_format="pandas"), "__k",
         roundtrip, num_buckets or 8)
     pdf = out.to_pandas()

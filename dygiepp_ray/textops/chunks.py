@@ -25,7 +25,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from ..core import hash_coexchange, partitioned_map_groups
+from ..core import hash_coexchange, hash_exchange
 
 
 def _doc_tokens(df: pd.DataFrame, text_col: str) -> pd.Series:
@@ -135,7 +135,7 @@ def tfidf_top_terms(
         g = df.groupby("term", as_index=False).agg(df=("df", "sum"))
         return g.astype({"df": np.int64})
 
-    df_table = partitioned_map_groups(
+    df_table = hash_exchange(
         tf.map_batches(df_partial, batch_format="pandas"), "term", df_final,
         num_buckets=8,
     )
@@ -185,7 +185,7 @@ def tfidf_top_terms(
         out["score"] = out["score"].round(6)
         return out[["doc_id", "term", "rk", "score"]]
 
-    return partitioned_map_groups(scored, "doc_id", topk, num_buckets=8)
+    return hash_exchange(scored, "doc_id", topk, num_buckets=8)
 
 
 def q_tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
@@ -323,8 +323,6 @@ def save_text_index(
         g["tf"] = g["tf"].astype(np.int64)
         return g.sort_values(["tok", id_col], ignore_index=True)
 
-    from ..core import hash_exchange
-
     hash_exchange(parts, "tok", bucket,
                   num_buckets=num_buckets).write_parquet(path)
 
@@ -359,7 +357,7 @@ def term_search_from_index(
         return pd.DataFrame({id_col: g[id_col].to_numpy(np.int64),
                              "tf": g["tf"].to_numpy(np.int64)})
 
-    parts = partitioned_map_groups(ds, id_col, per_doc, num_buckets=8)
+    parts = hash_exchange(ds, id_col, per_doc, num_buckets=8)
     return parts.sort(["tf", id_col], descending=[True, False]).limit(k)
 
 
@@ -532,7 +530,7 @@ def inverted_index(
         return out[list(_OUT)].astype(
             {c: t for c, t in _OUT.items() if t is not object})
 
-    return partitioned_map_groups(rows, "term", stamp_df, num_buckets)
+    return hash_exchange(rows, "term", stamp_df, num_buckets)
 
 
 def q_inverted_index(sf_dir: str):

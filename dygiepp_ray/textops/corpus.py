@@ -37,7 +37,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from ..core import hash_exchange, partitioned_map_groups
+from ..core import hash_exchange
 from .chunks import _doc_tokens
 
 DECONTAM_NGRAM = 4
@@ -376,7 +376,7 @@ def cap_docs_per_source(
         d = d[d["rk"] <= k]
         return d[[id_col, source_col, "rk"]].reset_index(drop=True)
 
-    return partitioned_map_groups(ds, source_col, cap, num_buckets)
+    return hash_exchange(ds, source_col, cap, num_buckets)
 
 
 def mixture_sample(
@@ -443,7 +443,7 @@ def mixture_sample(
         d = d[d["rk"] <= d[source_col].map(quota).fillna(0).to_numpy(np.int64)]
         return d[[id_col, source_col, "rk"]].reset_index(drop=True)
 
-    out = partitioned_map_groups(pruned, source_col, cap, num_buckets)
+    out = hash_exchange(pruned, source_col, cap, num_buckets)
     # a fully-empty exchange loses the schema (0-row Dataset.to_pandas()
     # has no columns): hand back the typed empty frame itself
     if out.count() == 0:
@@ -612,7 +612,7 @@ def duplicated_ngram_fraction(
         )
         return agg.astype(_P)
 
-    partials = partitioned_map_groups(rows, "gram", mark, num_buckets)
+    partials = hash_exchange(rows, "gram", mark, num_buckets)
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "n_grams" not in df.columns:
@@ -627,7 +627,7 @@ def duplicated_ngram_fraction(
         ) // g["n_grams"].to_numpy(np.int64)
         return g.astype({**_P, "dup_fraction_x1e6": np.int64})
 
-    return partitioned_map_groups(partials, id_col, finalize, num_buckets)
+    return hash_exchange(partials, id_col, finalize, num_buckets)
 
 
 def prepare_training_set(
@@ -968,7 +968,7 @@ def train_split(
         ).reset_index()
         return g.astype({"n_docs": np.int64, "sum_chars": np.int64})
 
-    return partitioned_map_groups(partials, "source", merge, num_buckets=4)
+    return hash_exchange(partials, "source", merge, num_buckets=4)
 
 
 def _assign_range_ranks(
@@ -1078,9 +1078,7 @@ def _bpe_word_counts(ds: ray.data.Dataset, text_col: str,
         g = df.groupby("w", sort=False, as_index=False)["n"].sum()
         return g.astype({"n": np.int64})
 
-    from ..core import partitioned_map_groups
-
-    parts = partitioned_map_groups(
+    parts = hash_exchange(
         ds.map_batches(wc, batch_format="pandas"), "w", merge, num_buckets
     ).to_pandas()
     if parts.empty or "w" not in parts.columns:
@@ -1542,7 +1540,7 @@ def cdc_chunk_dedup(
             n_chunks="size", n_shared="sum")
         return g.astype(_P)
 
-    parts = partitioned_map_groups(rows, "chash", per_chash, num_buckets)
+    parts = hash_exchange(rows, "chash", per_chash, num_buckets)
 
     out_cols = {"doc_id": np.int64, "n_chunks": np.int64,
                 "n_shared_chunks": np.int64, "shared_pct": np.int64}
@@ -1560,7 +1558,7 @@ def cdc_chunk_dedup(
              "shared_pct": (100 * g["n_shared"].to_numpy(np.int64))
              // g["n_chunks"].to_numpy(np.int64)}).astype(out_cols)
 
-    return partitioned_map_groups(parts, "doc_id", fold, num_buckets)
+    return hash_exchange(parts, "doc_id", fold, num_buckets)
 
 
 WSD_WINDOW = 8
@@ -1589,7 +1587,6 @@ def window_shingle_dedup(
     drop out."""
     import hashlib
 
-    from ..core import hash_exchange
     from .chunks import _doc_tokens
 
     out_cols = {"doc_id": np.int64, "n_windows": np.int64,

@@ -6,7 +6,7 @@
 * MinHash + LSH near-dup: word-shingle -> 128 minhashes -> banded
   buckets -> ``groupby(band, bucket)`` candidate pairs -> exact Jaccard
   verify -> connected components by iterative min-label propagation
-  (all via ``partitioned_map_groups`` — no driver-side union-find).
+  (all via ``hash_exchange`` — no driver-side union-find).
 * SimHash: 64-bit fingerprints + banded candidate generation.
 * n-gram Jaccard: exact verify used by both near-dup paths.
 
@@ -26,7 +26,7 @@ import pandas as pd
 
 import ray.data
 
-from ..core import grouped_pair_indices, partitioned_map_groups
+from ..core import grouped_pair_indices, hash_exchange
 
 _LOG = logging.getLogger(__name__)
 
@@ -102,7 +102,7 @@ def exact_dedup(
         )
         return g.reset_index()
 
-    return partitioned_map_groups(partials, "text_hash", merge, num_buckets)
+    return hash_exchange(partials, "text_hash", merge, num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +234,12 @@ def lsh_candidate_pairs(
         out = pd.concat(outs, ignore_index=True)
         return out.drop_duplicates(ignore_index=True)
 
-    cand = partitioned_map_groups(exploded, "bkey", pairs, num_buckets)
+    cand = hash_exchange(exploded, "bkey", pairs, num_buckets)
 
     # global pair dedup (same pair can surface from multiple bands/buckets);
     # pkey is a numeric hash for BUCKETING only — the dedup inside the
     # bucket compares the real id columns, so hash collisions are safe
-    return partitioned_map_groups(
+    return hash_exchange(
         cand.map_batches(_add_pair_key, batch_format="pandas"),
         "pkey",
         lambda df: df.drop_duplicates(["id_a", "id_b"], ignore_index=True).drop(columns="pkey"),
@@ -456,7 +456,7 @@ def connected_components(
         g["label"] = np.minimum(g["src"], g["dst"])
         return g.rename(columns={"src": "node"})[["node", "label"]]
 
-    labels = partitioned_map_groups(sym_edges, "src", init_labels, num_buckets)
+    labels = hash_exchange(sym_edges, "src", init_labels, num_buckets)
 
     _EMPTY_NL = {"node": pd.Series(dtype=np.int64), "label": pd.Series(dtype=np.int64)}
 
@@ -612,7 +612,7 @@ def fuzzy_join(
             .reset_index(drop=True)[["left_id", "right_id", "jaccard"]]
         )
 
-    return partitioned_map_groups(oriented, "left_id", best_per_left, num_buckets)
+    return hash_exchange(oriented, "left_id", best_per_left, num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +719,9 @@ def simhash_near_dups(
             ["id_a", "id_b"], ignore_index=True
         )
 
-    cand = partitioned_map_groups(exploded, "bkey", pairs, num_buckets)
+    cand = hash_exchange(exploded, "bkey", pairs, num_buckets)
 
-    return partitioned_map_groups(
+    return hash_exchange(
         cand.map_batches(_add_pair_key, batch_format="pandas"),
         "pkey",
         lambda df: df.drop_duplicates(["id_a", "id_b"], ignore_index=True).drop(columns="pkey"),
@@ -801,7 +801,7 @@ def incremental_exact_dedup(
         g = df.groupby("h", sort=False)[id_col].min().reset_index()
         return pd.DataFrame({id_col: g[id_col].to_numpy(np.int64)})
 
-    return partitioned_map_groups(survivors, "h", pick, num_buckets)
+    return hash_exchange(survivors, "h", pick, num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +915,7 @@ def prefix_filter_pairs(
     t_float = threshold_num / threshold_den  # pruning only (slack below)
 
     exploded = sets.map_batches(_explode_shingles, batch_format="pandas")
-    with_df = partitioned_map_groups(
+    with_df = hash_exchange(
         exploded, "shingle", _attach_shingle_df, num_buckets
     )
 
@@ -935,7 +935,7 @@ def prefix_filter_pairs(
             drop=True
         )
 
-    pref = partitioned_map_groups(with_df, "doc_id", prefixes, num_buckets)
+    pref = hash_exchange(with_df, "doc_id", prefixes, num_buckets)
 
     def candidates(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "shingle" not in df.columns:
@@ -972,9 +972,9 @@ def prefix_filter_pairs(
             {"id_a": a_ids[ok], "id_b": b_ids[ok]}
         ).drop_duplicates(ignore_index=True)
 
-    cand = partitioned_map_groups(pref, "shingle", candidates, num_buckets)
+    cand = hash_exchange(pref, "shingle", candidates, num_buckets)
 
-    return partitioned_map_groups(
+    return hash_exchange(
         cand.map_batches(_add_pair_key, batch_format="pandas"),
         "pkey",
         lambda df: df.drop_duplicates(["id_a", "id_b"], ignore_index=True).drop(columns="pkey"),
@@ -1072,7 +1072,7 @@ def containment_dups(
 
     sets_ds = shingle_sets(docs, shingle_k, text_col, id_col).materialize()
     exploded = sets_ds.map_batches(_explode_shingles, batch_format="pandas")
-    with_df = partitioned_map_groups(
+    with_df = hash_exchange(
         exploded, "shingle", _attach_shingle_df, num_buckets
     )
 
@@ -1092,7 +1092,7 @@ def containment_dups(
         post = d[["shingle", "doc_id", "size"]].assign(role=0)
         return pd.concat([pref, post], ignore_index=True).astype(_ROLE)
 
-    tagged = partitioned_map_groups(
+    tagged = hash_exchange(
         with_df, "doc_id", prefix_and_postings, num_buckets
     )
 
@@ -1140,8 +1140,8 @@ def containment_dups(
             {"id_a": a_ids[ok], "id_b": b_ids[ok]}
         ).drop_duplicates(ignore_index=True)
 
-    cand = partitioned_map_groups(tagged, "shingle", candidates, num_buckets)
-    pairs = partitioned_map_groups(
+    cand = hash_exchange(tagged, "shingle", candidates, num_buckets)
+    pairs = hash_exchange(
         cand.map_batches(_add_pair_key, batch_format="pandas"),
         "pkey",
         lambda df: df.drop_duplicates(
@@ -1272,7 +1272,7 @@ def edit1_neighbors(
     alignment scan.  Shape: variant-keyed exchange (pairs bucket-local
     via ``grouped_pair_indices``) then a pair-keyed exchange for the
     global dedup + verify.  -> (name_a, name_b), name_a < name_b."""
-    from ..core import grouped_pair_indices, partitioned_map_groups
+    from ..core import grouped_pair_indices, hash_exchange
 
     _PAIR = {"name_a": object, "name_b": object}
 
@@ -1307,7 +1307,7 @@ def edit1_neighbors(
         g = g[g["name_a"] != g["name_b"]].drop_duplicates()
         return g.reset_index(drop=True)
 
-    cand = partitioned_map_groups(
+    cand = hash_exchange(
         ds.map_batches(variants, batch_format="pandas"), "key",
         bucket_pairs, num_buckets)
 
@@ -1352,6 +1352,6 @@ def edit1_neighbors(
             ok[ix] = _is_del(a, b)
         return d[ok].reset_index(drop=True)
 
-    return partitioned_map_groups(
+    return hash_exchange(
         cand.map_batches(key_pair, batch_format="pandas"), "__k",
         verify, num_buckets)

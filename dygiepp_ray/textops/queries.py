@@ -804,7 +804,7 @@ def q_dup_cluster_hist(sf_dir: str):
     clusters).  Distributed components -> one component-keyed exchange
     (a cluster's members co-locate, so its size is bucket-exact) ->
     per-bucket (size, count) partials."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     docs = _docs(sf_dir)
     sigs = dedup.minhash_signatures(docs)
@@ -825,7 +825,7 @@ def q_dup_cluster_hist(sf_dir: str):
                              "n_clusters": c.to_numpy(np.int64),
                              "n_docs": sz * c.to_numpy(np.int64)})
 
-    parts = partitioned_map_groups(comps, "component", hist,
+    parts = hash_exchange(comps, "component", hist,
                                    num_buckets=8).to_pandas()
     if parts.empty or "cluster_size" not in parts.columns:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
@@ -2204,7 +2204,7 @@ def q_quality_gate(sf_dir: str):
     two-phase global-threshold-then-filter shape every corpus-pruning
     job uses (threshold pass + broadcast scalar + streaming filter)."""
     from ..analytics import exact_quantiles
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
@@ -2236,7 +2236,7 @@ def q_quality_gate(sf_dir: str):
         ).reset_index()
         return g.astype({"n_docs": np.int64, "sum_distinct": np.int64})
 
-    return partitioned_map_groups(partials, "source", merge, num_buckets=4)
+    return hash_exchange(partials, "source", merge, num_buckets=4)
 
 
 SQL_QUALITY_GATE = """
@@ -2272,7 +2272,7 @@ def q_source_diversity(sf_dir: str):
     exchange; the squares are computed with arbitrary-precision Python
     ints inside the bucket (c^2 sums can pass 2^63 at corpus scale,
     and the group table is tiny there)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["source", "lang"]
@@ -2309,7 +2309,7 @@ def q_source_diversity(sf_dir: str):
             rows, columns=list(_OUT)
         ).astype({k: v for k, v in _OUT.items() if k != "source"})
 
-    return partitioned_map_groups(partials, "source", gini, num_buckets=4)
+    return hash_exchange(partials, "source", gini, num_buckets=4)
 
 
 SQL_SOURCE_DIVERSITY = """
@@ -2920,7 +2920,7 @@ def q_novelty_scores(sf_dir: str):
     64-bit shingle-hash ids, the twin on shingle strings —
     cardinalities agree absent collisions (prefix_near_dups' documented
     caveat).  -> (doc_id, n_shingles, n_novel, novelty_pct)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
     from .corpus import _shingle_rows
 
     docs = _docs(sf_dir)
@@ -2946,7 +2946,7 @@ def q_novelty_scores(sf_dir: str):
             n_sh="size", n_novel="sum")
         return g.astype(_P)
 
-    parts = partitioned_map_groups(rows, "shingle", per_shingle,
+    parts = hash_exchange(rows, "shingle", per_shingle,
                                    num_buckets=8)
 
     out_cols = {"doc_id": np.int64, "n_shingles": np.int64,
@@ -2964,7 +2964,7 @@ def q_novelty_scores(sf_dir: str):
              "novelty_pct": (100 * g["n_novel"].to_numpy(np.int64))
              // g["n_sh"].to_numpy(np.int64)}).astype(out_cols)
 
-    return partitioned_map_groups(parts, "doc_id", fold, num_buckets=8)
+    return hash_exchange(parts, "doc_id", fold, num_buckets=8)
 
 
 SQL_NOVELTY_SCORES = _SQL_SH3 + """,
@@ -2996,7 +2996,7 @@ def q_extractive_summary(sf_dir: str):
     vocabulary); sentence scores fold on one doc exchange with
     (score DESC, sent_ix ASC) ties.  All integer.
     -> (doc_id, rk, sent_ix, score_x1e6)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     docs = _docs(sf_dir)
 
@@ -3046,7 +3046,7 @@ def q_extractive_summary(sf_dir: str):
                              "sent_ix": df["sent_ix"].to_numpy(np.int64),
                              "w": w})
 
-    weighted = partitioned_map_groups(rows, "tok", weigh, num_buckets=8)
+    weighted = hash_exchange(rows, "tok", weigh, num_buckets=8)
 
     def pick(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "doc_id" not in df.columns:
@@ -3063,7 +3063,7 @@ def q_extractive_summary(sf_dir: str):
              "sent_ix": s["sent_ix"].to_numpy(np.int64),
              "score_x1e6": s["w"].to_numpy(np.int64)}).astype(out_cols)
 
-    return partitioned_map_groups(weighted, "doc_id", pick, num_buckets=8)
+    return hash_exchange(weighted, "doc_id", pick, num_buckets=8)
 
 
 SQL_EXTRACTIVE_SUMMARY = """
@@ -3589,7 +3589,7 @@ def q_lsh_band_sweep(sf_dir: str) -> pd.DataFrame:
     -> (n_bands, rows_per_band, n_candidates, n_true, n_good,
     recall_x1e6, precision_x1e6)."""
     import hashlib
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     docs = _docs(sf_dir)
 
@@ -3652,7 +3652,7 @@ def q_lsh_band_sweep(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=list(cols)).astype(
             {c: t for c, t in cols.items() if t is np.int64})
 
-    cand = partitioned_map_groups(
+    cand = hash_exchange(
         docs.map_batches(band_rows, batch_format="pandas"), "bkey",
         bucket_pairs, num_buckets=16)
 
@@ -3670,7 +3670,7 @@ def q_lsh_band_sweep(sf_dir: str) -> pd.DataFrame:
             "cfg", as_index=False).sum()
         return g.astype(np.int64)
 
-    parts = partitioned_map_groups(cand, "__pk", count_partial,
+    parts = hash_exchange(cand, "__pk", count_partial,
                                    num_buckets=8).to_pandas()
     got = {}
     if len(parts) and "cfg" in parts.columns:
@@ -4167,7 +4167,7 @@ def q_pmi_bigrams(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     side, so lift computes bucket-locally — no second shuffle."""
     import hashlib  # noqa: F401  (convention imports in this module)
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     ds = _docs(sf_dir)
 
@@ -4249,7 +4249,7 @@ def q_pmi_bigrams(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
              "n_ab": g["n"].to_numpy(np.int64),
              "lift_x1e6": np.asarray(vals, dtype=np.int64)})
 
-    out = partitioned_map_groups(bi, "__k", lift, num_buckets=8)
+    out = hash_exchange(bi, "__k", lift, num_buckets=8)
     if out.count() == 0:
         return empty_out
     return out
@@ -4292,7 +4292,7 @@ def q_stem_freq(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     Shape: per-batch (stem, form) partials collapse to the token
     vocabulary; a stem-keyed exchange folds counts and counts distinct
     surface forms bucket-locally."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     ds = _docs(sf_dir)
 
@@ -4340,7 +4340,7 @@ def q_stem_freq(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             n=("n", "sum"), n_forms=("form", "nunique"))
         return out.astype({"n": np.int64, "n_forms": np.int64})
 
-    out = partitioned_map_groups(parts, "stem", fold, num_buckets=8)
+    out = hash_exchange(parts, "stem", fold, num_buckets=8)
     if out.count() == 0:
         return empty_out
     return out
@@ -4717,7 +4717,7 @@ def q_tfrecord_docs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
 
     Shape: one source-keyed exchange; each bucket writes and re-reads
     its shards locally (shards never cross the driver)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
     from ..sources import tfrecord
 
     ds = ray.data.read_parquet(
@@ -4732,7 +4732,7 @@ def q_tfrecord_docs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
                                  "__k": pd.Series(dtype=object)})
         return df.assign(__k=df["source"])
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         ds.map_batches(key, batch_format="pandas"), "__k",
         tfrecord.shard_roundtrip, num_buckets=8)
     empty_out = pd.DataFrame(
@@ -4766,7 +4766,7 @@ def q_avro_docs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
 
     Shape: one source-keyed exchange; each bucket writes and re-reads
     its shards locally (shards never cross the driver)."""
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
     from ..sources import avrofile
 
     ds = ray.data.read_parquet(
@@ -4781,7 +4781,7 @@ def q_avro_docs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
                                  "__k": pd.Series(dtype=object)})
         return df.assign(__k=df["source"])
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         ds.map_batches(key, batch_format="pandas"), "__k",
         avrofile.shard_roundtrip, num_buckets=8)
     empty_out = pd.DataFrame(
@@ -4823,7 +4823,7 @@ def q_webdataset_export(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     import io
     import tarfile
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -4871,7 +4871,7 @@ def q_webdataset_export(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
             {"shard_id": np.int64, "n_members": np.int64,
              "total_bytes": np.int64})
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         ds.map_batches(key, batch_format="pandas"), "__k",
         roundtrip, num_buckets=8)
     if out.count() == 0:
@@ -6378,7 +6378,7 @@ def q_sqlite_docs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     import sqlite3
     import tempfile
 
-    from ..core import partitioned_map_groups
+    from ..core import hash_exchange
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet",
@@ -6435,7 +6435,7 @@ def q_sqlite_docs(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
         return pd.DataFrame(rows).astype(
             {"n_records": np.int64, "total_bytes": np.int64})
 
-    out = partitioned_map_groups(
+    out = hash_exchange(
         ds.map_batches(key, batch_format="pandas"), "__k",
         roundtrip, num_buckets=8)
     if out.count() == 0:

@@ -136,3 +136,19 @@ def test_ts_passthrough_is_microseconds_regardless_of_unit(ray_session):
     assert df["ts"].dtype == np.dtype("datetime64[ns]") or "ns" in str(df["ts"].dtype) or True
     out = assemble_documents(rd.from_pandas(df), num_buckets=2).to_pandas()
     assert list(out["ts_us"][0]) == [base_us, base_us + 5]
+
+
+def test_empty_buckets_keep_optional_columns(ray_session):
+    """An empty assembly bucket must emit the same columns as a full one,
+    including the optional ts/tool/weight passthroughs — otherwise the
+    documents dataset's blocks disagree on schema."""
+    import ray
+
+    tbl = make_transcripts(3, seed=2)
+    tbl = tbl.append_column("weight", pa.array([2.0] * tbl.num_rows))
+    docs = assemble_documents(rd.from_arrow(tbl), num_buckets=16)
+    blocks = [ray.get(ref) for b in docs.iter_internal_ref_bundles()
+              for ref, _ in b.blocks]
+    assert any(t.num_rows == 0 for t in blocks)
+    assert {"ts_us", "tools", "weight"} <= set(blocks[0].schema.names)
+    assert all(t.schema.equals(blocks[0].schema) for t in blocks)

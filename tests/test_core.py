@@ -1,5 +1,5 @@
-"""Core exchange primitives: stable bucketing, hash exchange vs the
-Dataset-API sort implementation (must agree exactly)."""
+"""Core exchange primitives: stable bucketing and the hash exchange,
+checked against a pandas groupby."""
 
 import numpy as np
 import pandas as pd
@@ -7,7 +7,7 @@ import pytest
 
 import ray.data as rd
 
-from dygiepp_ray.core import hash_exchange, partitioned_map_groups, stable_bucket
+from dygiepp_ray.core import hash_exchange, stable_bucket
 
 
 def test_stable_bucket_deterministic():
@@ -24,8 +24,7 @@ def test_stable_bucket_spreads():
     assert (counts > 20).all()  # roughly uniform
 
 
-@pytest.mark.parametrize("impl", ["hash", "sort"])
-def test_partitioned_map_groups_collects_all_keys(ray_session, impl):
+def test_hash_exchange_collects_all_keys(ray_session):
     df = pd.DataFrame({"k": [f"g{i % 7}" for i in range(500)], "v": range(500)})
     ds = rd.from_pandas(df).repartition(8)
 
@@ -33,27 +32,12 @@ def test_partitioned_map_groups_collects_all_keys(ray_session, impl):
         out = g.groupby("k", sort=False)["v"].agg(["sum", "size"]).reset_index()
         return out.rename(columns={"sum": "s", "size": "n"})
 
-    out = partitioned_map_groups(ds, "k", fn, num_buckets=4, impl=impl).to_pandas()
+    out = hash_exchange(ds, "k", fn, num_buckets=4).to_pandas()
     # each logical key appears exactly once (all its rows in one bucket)
     assert sorted(out["k"]) == sorted(df["k"].unique())
     expect = df.groupby("k")["v"].sum()
     got = dict(zip(out["k"], out["s"]))
     assert got == expect.to_dict()
-
-
-def test_hash_and_sort_impls_agree(ray_session):
-    df = pd.DataFrame({"k": [f"g{i % 13}" for i in range(400)], "v": range(400)})
-    ds1 = rd.from_pandas(df).repartition(4)
-    ds2 = rd.from_pandas(df).repartition(4)
-
-    def fn(g):
-        return g.groupby("k", sort=False)["v"].sum().reset_index()
-
-    a = partitioned_map_groups(ds1, "k", fn, 8, impl="hash").to_pandas()
-    b = partitioned_map_groups(ds2, "k", fn, 8, impl="sort").to_pandas()
-    a = a.sort_values("k", ignore_index=True)
-    b = b.sort_values("k", ignore_index=True)
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_hash_exchange_single_bucket(ray_session):
@@ -176,10 +160,21 @@ def test_hash_coexchange_split_reuse(ray_session):
     assert len(r1) == 100
 
 
+def test_hash_coexchange_rejects_mismatched_splits_b(ray_session):
+    from dygiepp_ray.core import hash_coexchange, split_refs
+
+    df = pd.DataFrame({"id": np.arange(10, dtype=np.int64)})
+    shared = split_refs(rd.from_pandas(df), "id", 4)
+    for nb in (8, None):
+        with pytest.raises(ValueError, match="splits_b"):
+            hash_coexchange(rd.from_pandas(df), rd.from_pandas(df), "id", "id",
+                            lambda a, b: a, nb, splits_b=shared)
+
+
 def test_hash_coexchange_splits_b_tree_merge(ray_session, monkeypatch):
-    """VERDICT r3 #8: the legacy per-group-tuple splits_b branch under a
-    shrunken MERGE_FANIN and a 2k-block shared side — its _tree_reduce
-    must fold multi-level and both reusing exchanges must stay exact."""
+    """VERDICT r3 #8: a pre-split side under a shrunken MERGE_FANIN and a
+    2k-block shared side — its concat ladder must fold multi-level and
+    both reusing exchanges must stay exact."""
     import dygiepp_ray.core as core
     from dygiepp_ray.core import hash_coexchange, split_refs
 
@@ -190,10 +185,20 @@ def test_hash_coexchange_splits_b_tree_merge(ray_session, monkeypatch):
                       "y": np.arange(n_blocks, dtype=np.int64)})
     bs = rd.from_pandas(b).repartition(n_blocks).materialize()
     assert bs.num_blocks() >= 2000
+    folds = []
+    orig_ladder_add = core._ladder_add
+
+    def spy_ladder_add(levels, b, ref, lvl=0):
+        folds.append(lvl)
+        return orig_ladder_add(levels, b, ref, lvl)
+
+    monkeypatch.setattr(core, "_ladder_add", spy_ladder_add)
     shared = split_refs(bs, "key", 4)
-    # per-group tuple shape: > MERGE_FANIN groups forces a multi-level
-    # tree inside the splits_b reconstruction
-    assert len(shared) > core.MERGE_FANIN
+    # 512 split groups per bucket at fan-in 8: the ladder carries past
+    # level 1, and each bucket still hands <= MERGE_FANIN refs over
+    assert max(folds) >= 2
+    assert len(shared) == 4
+    assert all(0 < len(refs) <= core.MERGE_FANIN for refs in shared)
 
     a = pd.DataFrame({"id": np.arange(101, dtype=np.int64),
                       "x": np.arange(101, dtype=np.int64) * 2})
@@ -273,18 +278,21 @@ def test_hash_coexchange_empty_bucket_guard(ray_session):
     assert len(out) == 15
 
 
-def _mk_concat():
-    import pyarrow as pa
+class _SplitSpy:
+    """Stands in for ``core._split``: logs each launch's bucket count."""
 
-    import ray
+    def __init__(self, kernel, log):
+        self._kernel, self._log = kernel, log
 
-    @ray.remote
-    def concat(*parts):
-        nonempty = [p for p in parts if p.num_rows]
-        base = nonempty if nonempty else list(parts[:1])
-        return pa.concat_tables(base, promote_options="default")
+    def options(self, **kw):
+        spy = self
 
-    return concat
+        class Launch:
+            def remote(self, key, num_buckets, *rest):
+                spy._log.append(("split", num_buckets))
+                return spy._kernel.options(**kw).remote(key, num_buckets, *rest)
+
+        return Launch()
 
 
 def test_auto_exchange_streams_splits(ray_session, monkeypatch):
@@ -298,26 +306,7 @@ def test_auto_exchange_streams_splits(ray_session, monkeypatch):
     import dygiepp_ray.core as core
 
     log = []
-    orig_make_split = core._make_split
-
-    def spy_make_split(key, B):
-        rf = orig_make_split(key, B)
-
-        class Options:
-            def __init__(self, o):
-                self._o = o
-
-            def remote(self, *a):
-                log.append(("split", B))
-                return self._o.remote(*a)
-
-        class Proxy:
-            def options(self, **kw):
-                return Options(rf.options(**kw))
-
-        return Proxy()
-
-    monkeypatch.setattr(core, "_make_split", spy_make_split)
+    monkeypatch.setattr(core, "_split", _SplitSpy(core._split, log))
 
     def blocks():
         for i in range(6):
@@ -326,8 +315,8 @@ def test_auto_exchange_streams_splits(ray_session, monkeypatch):
             # huge nominal size so every block gets its own split group
             yield ray.put(tbl), core.TARGET_SPLIT_BYTES
 
-    B, gens = core._stream_gens(blocks(), "k", _mk_concat())
-    assert B == core.MIN_AUTO_BUCKETS and gens is not None
+    B, gens = core._stream_gens(blocks(), "k", *core._bucket_range(None))
+    assert B == core.MIN_AUTO_BUCKETS and gens
     first_split = log.index(("split", core.MIN_AUTO_BUCKETS))
     last_pull = max(i for i, e in enumerate(log) if e[0] == "pull")
     assert first_split < last_pull, log
@@ -400,9 +389,10 @@ def test_hash_exchange_auto_buckets_default(ray_session):
 
 
 def test_grouped_split_bounds_driver_refs(ray_session, monkeypatch):
-    """Two-level split: the driver holds O(blocks/GROUP x buckets) refs,
-    and a 2k-block exchange still produces exact results with a small
-    merge fan-in (tree depth > 1)."""
+    """Two-level split: one split task per GROUP of blocks, the driver
+    holds at most MERGE_FANIN refs per bucket, and a 2k-block exchange
+    still produces exact results with a small merge fan-in (tree depth
+    > 1)."""
     import dygiepp_ray.core as core
 
     n_blocks = 2048
@@ -414,8 +404,12 @@ def test_grouped_split_bounds_driver_refs(ray_session, monkeypatch):
     ds = rd.from_pandas(df).repartition(n_blocks).materialize()
     assert ds.num_blocks() >= 2000
 
+    log = []
+    monkeypatch.setattr(core, "_split", _SplitSpy(core._split, log))
     splits = core.split_refs(ds, "k", 4)
-    assert len(splits) <= -(-n_blocks // 16)  # ceil: one entry per GROUP
+    assert 0 < len(log) <= -(-n_blocks // 16)  # ceil: one launch per GROUP
+    assert len(splits) == 4
+    assert all(0 < len(refs) <= core.MERGE_FANIN for refs in splits)
 
     def fn(g):
         return g.groupby("k", sort=False)["v"].sum().reset_index()

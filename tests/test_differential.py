@@ -1186,6 +1186,23 @@ def test_avro_ocf_framing_and_sync_verification():
         A.read_avro(bytes(blob))
 
 
+def test_avro_negative_data_block_count_raises():
+    """A data block's record count is never negative (unlike a map
+    block's): a crafted block with count -1 and an empty body must
+    raise instead of parsing as zero records."""
+    import pytest as _pytest
+
+    from dygiepp_ray.sources import avrofile as A
+
+    recs = [(1, b"a"), (2, b"b")]
+    blob = A.write_avro(recs, key="neg")
+    sync = A._sync_for("neg")
+    assert A.read_avro(blob + A.write_long(0) + A.write_long(0) + sync) == recs
+    crafted = blob + A.write_long(-1) + A.write_long(0) + sync
+    with _pytest.raises(ValueError, match="negative Avro block record count"):
+        A.read_avro(crafted)
+
+
 def test_wav_rms_windows_differential(ray_session, tmp_path):
     """Self-synthesizing input (md5-chain WAV): the REAL wave-module
     parse + 64-sample windowing must match the hex-pair SQL twin,
