@@ -11,21 +11,32 @@ Layout::
 Bucket ids come from ``core.stable_bucket`` (fixed-key siphash of the
 partition key), so a re-run maps identical input rows to identical
 partitions.  ``write_partitioned`` skips any bucket whose per-partition
-manifest already exists — a killed ``ray job submit`` run resumes by
-diffing completed partitions instead of recomputing (the reference has
-only training checkpoints, ``template.libsonnet:114-116``; this is the
-batch-pipeline equivalent).
+manifest already exists, and ``_MANIFEST.json`` lists the table's
+non-empty partition ids (``parts``).  A table is complete when every
+listed part has its manifest (``complete_manifest``); a resume decides
+per table from that before building any lineage, and
+``missing_partitions`` names the buckets a resume has to recompute, so
+``KGPipeline.run_all`` can filter its input to the conversations that
+hash there (the reference has only training checkpoints,
+``template.libsonnet:114-116``; this is the batch-pipeline equivalent).
 
-The per-bucket write streams through ``iter_batches`` grouped by the
-bucket column — for full multi-node scale, pair with
-``Dataset.write_parquet(partition_cols=...)``; this implementation keeps
-atomicity (tmp dir + rename) which that API lacks.
+Every file lands through a tmp path and ``os.replace``: a partition's
+data directory (``part=N.tmp`` -> ``part=N``), then its manifest, then
+``_MANIFEST.json``.  A kill leaves at most an orphan ``part=N.tmp`` or
+a ``part=N`` without a manifest; readers skip the first, and a resume
+rewrites both.
+
+Each partition is written by the bucket function of one
+``hash_exchange`` on ``key``, so a partition is one task's output;
+``Dataset.write_parquet(partition_cols=...)`` lacks the tmp-dir +
+rename atomicity this relies on.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import time
 
@@ -45,6 +56,12 @@ def _part_dir(out_dir: str, bucket: int) -> str:
 
 def _part_manifest(out_dir: str, bucket: int) -> str:
     return os.path.join(out_dir, f"part={bucket:05d}.manifest.json")
+
+
+def _write_json(path: str, obj: dict) -> None:
+    with open(path + ".tmp", "w") as f:
+        json.dump(obj, f)
+    os.replace(path + ".tmp", path)
 
 
 def completed_partitions(out_dir: str) -> set[int]:
@@ -103,10 +120,7 @@ def write_partitioned(
             "fingerprint": fingerprint,
             "ts": time.time(),
         }
-        mpath = _part_manifest(out_dir, bucket)
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(manifest, f)
-        os.replace(mpath + ".tmp", mpath)
+        _write_json(_part_manifest(out_dir, bucket), manifest)
         return pd.DataFrame({"bucket": [bucket], "rows": [len(df)], "skipped": [False]})
 
     # NOTE: hash_exchange buckets with the same stable hash used in
@@ -114,24 +128,67 @@ def write_partitioned(
     results = hash_exchange(
         ds, key, write_bucket, num_buckets=num_partitions
     ).to_pandas()
-    results = results[results["bucket"] >= 0]
+    written = results.loc[(results["bucket"] >= 0) & ~results["skipped"], "bucket"]
+    parts = sorted(done | set(written.tolist()))
     run = {
-        "partitions": int(results["bucket"].nunique()),
+        "partitions": len(parts),
         "rows_written": int(results["rows"].sum()),
-        "skipped": int(results["skipped"].sum()),
+        # every listed part this call did not write, whether or not its
+        # rows reached the call (a filtered resume sends only lost ones)
+        "skipped": len(parts) - len(written),
         "num_partitions": num_partitions,
         "key": key,
+        "parts": parts,
     }
-    with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
-        json.dump(run, f)
+    _write_json(os.path.join(out_dir, "_MANIFEST.json"), run)
     return run
 
 
+def _listed_parts(out_dir: str, key: str, num_partitions: int) -> list[int] | None:
+    """The ``parts`` of the table's ``_MANIFEST.json`` when it was written
+    with this key and partition count, else None."""
+    try:
+        with open(os.path.join(out_dir, "_MANIFEST.json")) as f:
+            run = json.load(f)
+    except FileNotFoundError:
+        return None
+    if run.get("key") != key or run.get("num_partitions") != num_partitions:
+        return None
+    return run.get("parts")
+
+
+def missing_partitions(out_dir: str, key: str, num_partitions: int) -> set[int]:
+    """Buckets a resume must recompute: the listed parts without a
+    manifest, or every bucket without one when nothing is listed."""
+    parts = _listed_parts(out_dir, key, num_partitions)
+    expected = range(num_partitions) if parts is None else parts
+    return set(expected) - completed_partitions(out_dir)
+
+
+def complete_manifest(out_dir: str, key: str, num_partitions: int) -> dict | None:
+    """The run manifest of a resume that skips the whole table, when
+    ``_MANIFEST.json`` matches ``key``/``num_partitions`` and every part
+    it lists has its manifest; None when the table is incomplete."""
+    parts = _listed_parts(out_dir, key, num_partitions)
+    if parts is None or not set(parts) <= completed_partitions(out_dir):
+        return None
+    return {
+        "partitions": len(parts),
+        "rows_written": 0,
+        "skipped": len(parts),
+        "num_partitions": num_partitions,
+        "key": key,
+        "parts": parts,
+    }
+
+
 def read_partitioned(out_dir: str) -> ray.data.Dataset:
+    """Every finished ``part=N`` directory; an orphan ``part=N.tmp``
+    left by a killed write is not read."""
     files = sorted(
         os.path.join(out_dir, d, f)
         for d in os.listdir(out_dir)
-        if d.startswith("part=") and os.path.isdir(os.path.join(out_dir, d))
+        if re.fullmatch(r"part=\d+", d) and os.path.isdir(os.path.join(out_dir, d))
         for f in os.listdir(os.path.join(out_dir, d))
         if f.endswith(".parquet")
     )

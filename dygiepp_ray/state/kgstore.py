@@ -21,6 +21,8 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data
 
@@ -116,7 +118,9 @@ def kg_lookup(path: str, subject: str) -> pd.DataFrame:
     """Point lookup against a persisted store: the subject's bucket is
     recomputed from `_MANIFEST.json`'s partition count, so the read
     touches exactly ONE ``part=N`` directory (partition pruning, not
-    just row-group stats), then filters to the subject."""
+    just row-group stats), then filters to the subject.  The files are
+    read with pyarrow in the calling process: one small partition does
+    not pay for a Ray Data plan."""
     manifest_path = os.path.join(path, "_MANIFEST.json")
     if not os.path.isfile(manifest_path):
         return _empty_store_df()
@@ -127,14 +131,8 @@ def kg_lookup(path: str, subject: str) -> pd.DataFrame:
     pdir = _part_dir(path, bucket)
     if not os.path.isdir(pdir):
         return _empty_store_df()
-    files = sorted(os.path.join(pdir, f) for f in os.listdir(pdir)
-                   if f.endswith(".parquet"))
-    import pyarrow.compute as pc
-
-    out = ray.data.read_parquet(
-        files, filter=pc.field("subj") == subject
-    ).to_pandas()
-    if out.empty or "subj" not in out.columns:
+    out = pq.read_table(pdir, filters=pc.field("subj") == subject,
+                        partitioning=None).to_pandas()
+    if out.empty:
         return _empty_store_df()
-    # read_parquet hive-parses the part=N directory into a column
-    return out.drop(columns=[c for c in ("part",) if c in out.columns])
+    return out

@@ -2,14 +2,15 @@
 
     ray job submit -- python scripts/run_graph.py \
         --input /data/transcripts --output /data/graph \
-        [--num-buckets 4096] [--num-partitions 1024] [--resume]
+        [--num-buckets 4096] [--num-partitions 1024] [--fresh]
 
 Reads the transcript Parquet table (BASELINE.json input_hint shape),
 runs the flagship pipeline, and writes the graph store (triples +
 entities + clusters) as resumable partitioned parquet with per-partition
-lineage manifests.  A killed run re-submitted with ``--resume`` (the
-default behavior — completed partitions are always skipped) recomputes
-only missing partitions.
+lineage manifests.  Re-submitting a killed run resumes it: complete
+tables are skipped, and lost triples/clusters partitions re-extract only
+their own conversations (``KGPipeline.run_all``).  ``--fresh`` deletes
+the output first and recomputes everything.
 
 Owns its Ray session (scripts do; library code never calls ray.init).
 """
