@@ -15,7 +15,9 @@ requirement of the north rule):
 
 Phase 1 partials are pre-aggregated inside ``map_batches`` before the
 shuffle, so bytes-through-shuffle is O(distinct surfaces x S), not
-O(mentions).
+O(mentions).  Both exchanges are data-sized (``hash_exchange``'s auto
+bucket count): a few hundred partial rows get a few buckets, not a
+fixed fan-out of mostly empty merges.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ _SALTED_SCHEMA = pa.schema(
 def canonicalize(
     mentions: ray.data.Dataset,
     num_salts: int = 16,
-    num_buckets: int = 32,
     doc_local_batches: bool = True,
 ) -> ray.data.Dataset:
     """mentions (doc_key, surface, label, ...) -> entities table.
@@ -114,7 +115,7 @@ def canonicalize(
         return df
 
     salted = partials.map_batches(add_skey, batch_format="pandas")
-    phase1 = hash_exchange(salted, "__skey", merge_salted, num_buckets)
+    phase1 = hash_exchange(salted, "__skey", merge_salted)
 
     def merge_final(df: pd.DataFrame) -> pa.Table:
         g = (
@@ -126,4 +127,4 @@ def canonicalize(
         g.insert(0, "entity_id", g["surface"].map(uniq))
         return pa.Table.from_pandas(g, schema=ENTITY_SCHEMA, preserve_index=False)
 
-    return hash_exchange(phase1, "surface", merge_final, num_buckets)
+    return hash_exchange(phase1, "surface", merge_final)

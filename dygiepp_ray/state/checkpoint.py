@@ -4,14 +4,15 @@ Layout::
 
     out_dir/
       part=00000/ *.parquet      # one directory per deterministic hash bucket
-      part=00000.manifest.json   # lineage: key, bucket, row count, fingerprint
+      part=00000.manifest.json   # lineage: key, P, bucket, row count, fingerprint
       ...
       _MANIFEST.json             # run-level summary (written last = _SUCCESS)
 
 Bucket ids come from ``core.stable_bucket`` (fixed-key siphash of the
 partition key), so a re-run maps identical input rows to identical
 partitions.  ``write_partitioned`` skips any bucket whose per-partition
-manifest already exists, and ``_MANIFEST.json`` lists the table's
+manifest already exists (and refuses a directory whose manifests record
+another key or partition count), and ``_MANIFEST.json`` lists the table's
 non-empty partition ids (``parts``).  A table is complete when every
 listed part has its manifest (``complete_manifest``); a resume decides
 per table from that before building any lineage, and
@@ -74,6 +75,29 @@ def completed_partitions(out_dir: str) -> set[int]:
     return out
 
 
+def _check_layout(out_dir: str, done: set[int], key: str, num_partitions: int) -> None:
+    """Raise ValueError when ``_MANIFEST.json`` or a part manifest in
+    ``out_dir`` was written with another ``key`` or partition count: its
+    rows sit in other buckets, so skipping it would mix two layouts.  A
+    part manifest that predates the recorded ``num_partitions`` is
+    checked on ``key`` only."""
+    manifests = [os.path.join(out_dir, "_MANIFEST.json")]
+    manifests += [_part_manifest(out_dir, b) for b in sorted(done)]
+    for path in manifests:
+        try:
+            with open(path) as f:
+                m = json.load(f)
+        except FileNotFoundError:
+            continue
+        if (m.get("key"), m.get("num_partitions", num_partitions)) != (key, num_partitions):
+            raise ValueError(
+                f"{out_dir} holds partitions written with key={m.get('key')!r}, "
+                f"num_partitions={m.get('num_partitions')!r} "
+                f"({os.path.basename(path)}); refusing to write key={key!r}, "
+                f"num_partitions={num_partitions!r} into it"
+            )
+
+
 def write_partitioned(
     ds: ray.data.Dataset,
     out_dir: str,
@@ -83,10 +107,13 @@ def write_partitioned(
     """Write ``ds`` hash-partitioned on ``key``; idempotent per partition.
 
     Returns the run manifest dict.  Partitions listed in
-    ``completed_partitions`` are skipped entirely (resume path).
+    ``completed_partitions`` are skipped entirely (resume path).  A
+    directory written with another ``key`` or ``num_partitions``
+    raises ValueError.
     """
     os.makedirs(out_dir, exist_ok=True)
     done = completed_partitions(out_dir)
+    _check_layout(out_dir, done, key, num_partitions)
 
     def write_bucket(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -115,6 +142,7 @@ def write_partitioned(
         manifest = {
             "bucket": bucket,
             "key": key,
+            "num_partitions": num_partitions,
             "rows": len(df),
             "n_keys": int(df[key].nunique()),
             "fingerprint": fingerprint,

@@ -3,6 +3,7 @@ completed partitions skipped on re-run (SURVEY.md §4)."""
 
 import json
 import os
+import re
 
 import pandas as pd
 import pytest
@@ -66,7 +67,36 @@ def test_manifest_lineage_fields(small_ds, tmp_path):
     out = str(tmp_path / "graph")
     C.write_partitioned(ds, out, "conv_id", num_partitions=2)
     m = json.load(open(C._part_manifest(out, sorted(C.completed_partitions(out))[0])))
-    assert {"bucket", "key", "rows", "n_keys", "fingerprint", "ts"} <= set(m)
+    assert {"bucket", "key", "num_partitions", "rows", "n_keys", "fingerprint",
+            "ts"} <= set(m)
+    assert m["num_partitions"] == 2
+
+
+def test_refuses_directory_with_another_key(small_ds, tmp_path):
+    """Rows placed by one key sit in other buckets under another: the
+    writer must not skip (and relist) the old partitions."""
+    ds, _ = small_ds
+    out = str(tmp_path / "graph")
+    C.write_partitioned(ds, out, "conv_id", num_partitions=4)
+    with pytest.raises(ValueError, match=re.escape(out)):
+        C.write_partitioned(ds, out, "v", num_partitions=4)
+    # a lost _MANIFEST.json does not hide the part manifests' key
+    os.remove(os.path.join(out, "_MANIFEST.json"))
+    with pytest.raises(ValueError, match="key='conv_id'"):
+        C.write_partitioned(ds, out, "v", num_partitions=4)
+
+
+def test_refuses_directory_with_another_partition_count(small_ds, tmp_path):
+    ds, _ = small_ds
+    out = str(tmp_path / "graph")
+    C.write_partitioned(ds, out, "conv_id", num_partitions=4)
+    with pytest.raises(ValueError, match=re.escape(out)):
+        C.write_partitioned(ds, out, "conv_id", num_partitions=8)
+    os.remove(os.path.join(out, "_MANIFEST.json"))
+    with pytest.raises(ValueError, match="num_partitions=4"):
+        C.write_partitioned(ds, out, "conv_id", num_partitions=8)
+    # the same layout still resumes
+    assert C.write_partitioned(ds, out, "conv_id", num_partitions=4)["rows_written"] == 0
 
 
 def test_manifest_fingerprint_deterministic(small_ds, tmp_path):

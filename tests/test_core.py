@@ -315,9 +315,10 @@ def test_auto_exchange_streams_splits(ray_session, monkeypatch):
             # huge nominal size so every block gets its own split group
             yield ray.put(tbl), core.TARGET_SPLIT_BYTES
 
-    B, gens = core._stream_gens(blocks(), "k", *core._bucket_range(None))
-    assert B == core.MIN_AUTO_BUCKETS and gens
-    first_split = log.index(("split", core.MIN_AUTO_BUCKETS))
+    start, cap = core._bucket_range(None)
+    B, gens = core._stream_gens(blocks(), "k", start, cap)
+    assert B == start and gens
+    first_split = log.index(("split", start))
     last_pull = max(i for i, e in enumerate(log) if e[0] == "pull")
     assert first_split < last_pull, log
 
@@ -383,9 +384,26 @@ def test_hash_exchange_auto_buckets_default(ray_session):
         rd.from_pandas(df).repartition(6), "k",
         lambda g: g.groupby("k", sort=False)["v"].sum().reset_index(),
     )
-    assert out_ds.num_blocks() == core.MIN_AUTO_BUCKETS
+    assert out_ds.num_blocks() == core._bucket_range(None)[0]
     out = out_ds.to_pandas()
     assert dict(zip(out["k"], out["v"])) == df.groupby("k")["v"].sum().to_dict()
+
+
+@pytest.mark.parametrize("resources,start", [
+    ({"CPU": 1.0}, 1), ({"CPU": 3.0}, 2), ({"CPU": 32.0}, 8), ({}, 8),
+])
+def test_auto_start_capped_by_cluster_cpus(ray_session, monkeypatch, resources, start):
+    """Auto starts at min(MIN_AUTO_BUCKETS, cluster CPUs) rounded down to
+    a power of two (MIN_AUTO_BUCKETS without a CPU entry); the cap is
+    unchanged, and every start divides it so re-splits stay exact."""
+    import ray
+
+    import dygiepp_ray.core as core
+
+    assert core._bucket_range(None) == (4, 1024)  # the 4-CPU session
+    monkeypatch.setattr(ray, "cluster_resources", lambda: resources)
+    assert core._bucket_range(None) == (start, 1024)
+    assert core._bucket_range(16) == (16, 16)
 
 
 def test_grouped_split_bounds_driver_refs(ray_session, monkeypatch):
