@@ -8,26 +8,39 @@ transcripts --assemble (conv_id shuffle)--> documents
           --write (partitioned parquet + manifest)--> graph store
 
 Every edge is a lazy Ray Data Dataset; nothing materializes the full
-corpus.  Reference lifecycle analogue: SURVEY.md §3.1 (allennlp predict).
+corpus.  ``KGPipeline.run_all`` runs assemble -> write inside the tasks
+of one conv_id exchange whose buckets are the store's partitions.
+Reference lifecycle analogue: SURVEY.md §3.1 (allennlp predict).
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import replace as _cfg_replace
 
 import numpy as np
 import pyarrow as pa
 import ray.data
 
-from ..core import stable_bucket
+from ..core import hash_exchange, stable_bucket
 from ..semantics import DEFAULT_CONFIG, ExtractionConfig
 from ..sources.transcripts import documents_as_transcripts, read_transcripts
 from ..stages import explode
-from ..stages.assemble import assemble_documents
-from ..stages.canonicalize import canonicalize
+from ..stages.assemble import assemble_bucket, assemble_documents
+from ..stages.canonicalize import (
+    NUM_SALTS, SALTED_SCHEMA, canonicalize, merge_final, merge_salted,
+    salted_partials,
+)
 from ..stages.collate import collate, explode_sentences, uncollate_predictions
-from ..stages.extract import EncoderExtractStage, extract
-from ..stages.triples import triples_from_relations, triples_local_dedup
+from ..stages.extract import EncoderExtractStage, batch_extractor, extract
+from ..stages.triples import (
+    conv_local_triples, triples_from_relations, triples_local_dedup,
+)
+from ..state.checkpoint import (
+    complete_manifest, finish_table, missing_partitions, partition_of,
+    prepare_table, write_part, write_partitioned,
+)
 
 
 # attributes _build sets; the first read of any of them builds the lineage
@@ -45,6 +58,13 @@ def _in_buckets(tbl: pa.Table, buckets: list[int], num_partitions: int) -> pa.Ta
 
 class KGPipeline:
     """Composable handle over the pipeline's intermediate Datasets.
+
+    The lineage (``documents``, ``predicted``, ``mentions``, ...,
+    ``triples()``, ``entities()``, ``clusters``) is built lazily on first
+    read; ``num_buckets`` (the assembly exchange) and the ``extract_*``
+    actor-pool arguments apply to it.  ``run_all``'s direct path does
+    not read the lineage: its one conv_id exchange runs at the store's
+    partition count (bucket = partition) with stateless extraction.
 
     ``collate_extract=True`` runs the GPU-shaped deployment of the
     north star: sentences are length-sorted and bin-packed into
@@ -169,7 +189,7 @@ class KGPipeline:
         self._clusters = ds
         self._clusters_fn = None
 
-    def entities(self, num_salts: int = 16) -> ray.data.Dataset:
+    def entities(self, num_salts: int = NUM_SALTS) -> ray.data.Dataset:
         return canonicalize(self.mentions, num_salts=num_salts)
 
     def triples(self, local_dedup: bool = True) -> ray.data.Dataset:
@@ -187,56 +207,37 @@ class KGPipeline:
             return triples_local_dedup(self.relations)
         return triples_from_relations(self.relations)
 
-    def materialize_predicted(self) -> "KGPipeline":
-        """Pin the predicted-documents dataset in the object store so the
-        multiple downstream consumers (mentions/entities AND
-        relations/triples) execute the extraction once instead of
-        re-running lineage per consumer.  Use for run-everything jobs;
-        single-output jobs should stay lazy."""
-        if self.collated:
-            # the projected tables are already backed by the uncollate
-            # exchange's materialized refs (repeat consumption is a
-            # re-read, not a re-execution) — nothing to pin; callers of
-            # .predicted directly may still materialize it themselves
-            return self
-        self.predicted = self.predicted.materialize()
-        from ..stages import explode
-
-        self.mentions = explode.mentions_table(self.predicted)
-        self.relations = explode.relations_table(self.predicted)
-        self.triggers = explode.triggers_table(self.predicted)
-        self.event_args = explode.event_args_table(self.predicted)
-        if "coref" in self.cfg.tasks:
-            self.clusters = explode.clusters_table(self.predicted)
-        return self
-
     def write_graph(self, out_dir: str, num_partitions: int = 32) -> dict:
-        from ..state.checkpoint import write_partitioned
-
         return write_partitioned(self.triples(), out_dir, "conv_id", num_partitions)
 
     def run_all(self, out_dir: str, num_partitions: int = 32) -> dict:
         """The full graph store under ``out_dir``: triples and clusters
         partitioned on ``conv_id`` into ``num_partitions``, entities on
-        ``surface``.  Returns the combined manifest.
+        ``surface`` into ``max(4, num_partitions // 8)``.  Returns the
+        combined manifest.
+
+        Bucket = partition.  On the direct path ONE conv_id exchange at
+        ``num_partitions`` buckets gives each task one whole triples and
+        clusters partition: it assembles, extracts and explodes its
+        conversations, writes both partitions and returns its salted
+        canonicalization partials.  One ``__skey`` exchange merges the
+        partials, and the entities write's ``surface`` exchange runs the
+        final merge per partition: three exchanges in all.
+        ``num_buckets`` and the ``extract_*`` arguments do not apply
+        there; the collated path (``collate_extract=True``, which packs
+        sentences across conversations) writes the lazily built tables
+        one by one.
 
         Resume decides per table before building any lineage.  A
         complete table (``checkpoint.complete_manifest``) is not
         written, and its manifest reports every part skipped.  When
-        entities are incomplete, extraction is materialized over the
-        whole input and every incomplete table is written, skipping
-        finished partitions.  When only triples and/or clusters are
-        incomplete, the lineage is rebuilt over the conversations whose
-        ``stable_bucket(conv_id, num_partitions)`` is missing from
-        either table (both share partition ids), so extraction runs on
-        the lost conversations only.  When every table is complete, no
-        input is read."""
-        import os
-
-        from ..state.checkpoint import (
-            complete_manifest, missing_partitions, write_partitioned,
-        )
-
+        entities are incomplete, every conversation is extracted and
+        finished partitions are skipped.  When only triples and/or
+        clusters are incomplete, the input is filtered to the
+        conversations whose ``stable_bucket(conv_id, num_partitions)``
+        is missing from either table (both share partition ids), so
+        extraction runs on the lost conversations only.  When every
+        table is complete, no input is read."""
         tables = {
             "triples": ("conv_id", num_partitions),
             "entities": ("surface", max(4, num_partitions // 8)),
@@ -245,40 +246,84 @@ class KGPipeline:
         # collated and direct paths)
         if "coref" in self.cfg.tasks:
             tables["clusters"] = ("conv_id", num_partitions)
-        dirs = {name: os.path.join(out_dir, name) for name in tables}
-        manifests = {
-            name: complete_manifest(dirs[name], *spec)
-            for name, spec in tables.items()
-        }
-        todo = [name for name, m in manifests.items() if m is None]
+        specs = {name: (os.path.join(out_dir, name), *spec)
+                 for name, spec in tables.items()}
+        manifests = {name: complete_manifest(*spec) for name, spec in specs.items()}
+        todo = {name: spec for name, spec in specs.items() if manifests[name] is None}
         if not todo:
             return manifests
-        pipe = self
-        if "entities" in todo:
-            self.materialize_predicted()
-        else:
-            lost = set().union(*(
-                missing_partitions(dirs[name], *tables[name]) for name in todo
-            ))
-            pipe = KGPipeline(
-                self.transcripts.map_batches(
-                    _in_buckets, fn_args=(sorted(lost), num_partitions),
-                    batch_format="pyarrow",
-                ),
-                self.cfg, **self._kw,
+        src = self.transcripts
+        if "entities" not in todo:
+            lost = set().union(*(missing_partitions(*spec) for spec in todo.values()))
+            src = src.map_batches(
+                _in_buckets, fn_args=(sorted(lost), num_partitions),
+                batch_format="pyarrow",
             )
-            if len(todo) == 2:
-                pipe.materialize_predicted()
+        if not self.collated:
+            manifests.update(_run_all_direct(self.cfg, src, todo, num_partitions))
+            return manifests
+        pipe = self if src is self.transcripts else KGPipeline(src, self.cfg, **self._kw)
         outputs = {
             "triples": pipe.triples,
             "entities": pipe.entities,
             "clusters": lambda: pipe.clusters,
         }
-        for name in todo:
-            manifests[name] = write_partitioned(
-                outputs[name](), dirs[name], *tables[name]
-            )
+        for name, spec in todo.items():
+            manifests[name] = write_partitioned(outputs[name](), *spec)
         return manifests
+
+
+def _graph_bucket(
+    tbl: pa.Table, cfg: ExtractionConfig, num_partitions: int, writes: list,
+    partials: bool,
+) -> pa.Table:
+    """One conv_id bucket of ``run_all``'s exchange at ``num_partitions``
+    buckets: every turn of its conversations, so exactly one triples and
+    one clusters partition.  Writes the tables in ``writes`` ((name, dir,
+    done)) and returns the salted canonicalization partials of its
+    mentions (none when ``partials`` is False)."""
+    docs = assemble_bucket(tbl, cfg)
+    if docs.num_rows == 0:
+        return SALTED_SCHEMA.empty_table()
+    pred = batch_extractor(cfg)(docs)
+    rows = {
+        "triples": lambda: conv_local_triples(
+            explode.explode_block(pred, "relations").to_pandas()),
+        "clusters": lambda: explode.explode_block(pred, "cluster_members"),
+    }
+    part = partition_of(tbl["conv_id"][:1].to_pylist(), num_partitions)
+    for name, out_dir, done in writes:
+        if part not in done:
+            write_part(rows[name](), out_dir, "conv_id", num_partitions, done)
+    mentions = explode.explode_block(pred, "ner") if partials else None
+    if mentions is None or mentions.num_rows == 0:
+        return SALTED_SCHEMA.empty_table()
+    return pa.Table.from_pandas(
+        salted_partials(mentions.to_pandas()), schema=SALTED_SCHEMA,
+        preserve_index=False,
+    )
+
+
+def _run_all_direct(
+    cfg: ExtractionConfig, src: ray.data.Dataset, todo: dict, num_partitions: int
+) -> dict:
+    """Write each table of ``todo`` (name -> (dir, key, partitions))
+    with the fused conv_id exchange of ``KGPipeline.run_all``."""
+    # every layout is checked before anything is written
+    done = {name: prepare_table(*spec) for name, spec in todo.items()}
+    writes = [(name, todo[name][0], done[name])
+              for name in ("triples", "clusters") if name in todo]
+    salted = hash_exchange(
+        src, "conv_id",
+        functools.partial(_graph_bucket, cfg=cfg, num_partitions=num_partitions,
+                          writes=writes, partials="entities" in todo),
+        num_buckets=num_partitions, fn_format="pyarrow",
+    )
+    out = {name: finish_table(*todo[name], done[name]) for name, *_ in writes}
+    if "entities" in todo:
+        phase1 = hash_exchange(salted, "__skey", merge_salted)
+        out["entities"] = write_partitioned(phase1, *todo["entities"], fn=merge_final)
+    return out
 
 
 def from_parquet(

@@ -63,7 +63,9 @@ def _combine(col):
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
-def _assemble_bucket(tbl: pa.Table, cfg: ExtractionConfig) -> pa.Table:
+def assemble_bucket(tbl: pa.Table, cfg: ExtractionConfig) -> pa.Table:
+    """Transcript turns holding each of their conversations whole -> the
+    conversations' documents."""
     if tbl.num_rows == 0:
         return _doc_schema(tbl.schema.names).empty_table()
     order = pc.sort_indices(
@@ -191,7 +193,7 @@ def assemble_documents(
     return hash_exchange(
         transcripts,
         key="conv_id",
-        fn=lambda t: _assemble_bucket(t, cfg),
+        fn=lambda t: assemble_bucket(t, cfg),
         num_buckets=num_buckets,
         fn_format="pyarrow",
     )

@@ -22,6 +22,8 @@ fixed fan-out of mostly empty merges.
 
 from __future__ import annotations
 
+import functools
+
 import pandas as pd
 import pyarrow as pa
 
@@ -41,7 +43,7 @@ ENTITY_SCHEMA = pa.schema(
 )
 
 # phase-1 (salted partial) output; fixed so empty buckets keep the types
-_SALTED_SCHEMA = pa.schema(
+SALTED_SCHEMA = pa.schema(
     [
         ("surface", pa.string()),
         ("label", pa.string()),
@@ -52,9 +54,72 @@ _SALTED_SCHEMA = pa.schema(
 )
 
 
+NUM_SALTS = 16
+
+
+def salted_partials(
+    batch: pd.DataFrame, num_salts: int = NUM_SALTS, doc_local: bool = True
+) -> pd.DataFrame:
+    """Phase-1 partials of one batch of mentions, keyed on ``__skey`` =
+    (surface, salt) with salt = hash(doc_key) % ``num_salts``.
+
+    ``doc_local=True`` requires every document's mentions in this batch:
+    each doc_key then occurs in exactly one batch, so its row count here
+    IS its distinct-doc contribution and the partials collapse to
+    ``SALTED_SCHEMA`` rows.  ``doc_local=False`` keeps doc_key (still
+    exact, just a bigger shuffle)."""
+    df = pd.DataFrame(
+        {
+            "surface": batch["surface"].str.lower(),
+            "label": batch["label"],
+            "doc_key": batch["doc_key"],
+        }
+    )
+    g = (
+        df.groupby(["surface", "label", "doc_key"], sort=False)
+        .size()
+        .rename("n_mentions")
+        .reset_index()
+    )
+    salt = pd.Series(stable_bucket(g["doc_key"].to_numpy(), num_salts), index=g.index)
+    g["__skey"] = g["surface"].str.cat(salt.astype(str), sep="\x1f")
+    if doc_local:
+        g = (
+            g.groupby(["surface", "label", "__skey"], sort=False)
+            .agg(n_mentions=("n_mentions", "sum"), n_docs=("doc_key", "size"))
+            .reset_index()
+        )
+    return g
+
+
+def merge_salted(df: pd.DataFrame, doc_local: bool = True) -> pa.Table:
+    """Phase-1 merge of one ``__skey`` bucket: hot surfaces spread over
+    ``num_salts`` buckets."""
+    n_docs = ("n_docs", "sum") if doc_local else ("doc_key", "nunique")
+    g = (
+        df.groupby(["surface", "label", "__skey"], sort=False)
+        .agg(n_mentions=("n_mentions", "sum"), n_docs=n_docs)
+        .reset_index()
+    )
+    return pa.Table.from_pandas(g, schema=SALTED_SCHEMA, preserve_index=False)
+
+
+def merge_final(df: pd.DataFrame) -> pa.Table:
+    """Phase 2 over a bucket that holds every phase-1 row of its
+    surfaces: one ``ENTITY_SCHEMA`` row per (surface, label)."""
+    g = (
+        df.groupby(["surface", "label"], sort=False)
+        .agg(n_mentions=("n_mentions", "sum"), n_docs=("n_docs", "sum"))
+        .reset_index()
+    )
+    uniq = {s: S.entity_id(s) for s in g["surface"].unique()}
+    g.insert(0, "entity_id", g["surface"].map(uniq))
+    return pa.Table.from_pandas(g, schema=ENTITY_SCHEMA, preserve_index=False)
+
+
 def canonicalize(
     mentions: ray.data.Dataset,
-    num_salts: int = 16,
+    num_salts: int = NUM_SALTS,
     doc_local_batches: bool = True,
 ) -> ray.data.Dataset:
     """mentions (doc_key, surface, label, ...) -> entities table.
@@ -68,63 +133,13 @@ def canonicalize(
     carry a few hundred rows regardless of corpus size.  Set False for
     mention streams of unknown partitioning (partials stay at doc
     granularity; still exact, just a bigger shuffle)."""
-
-    def partial_exact(batch: pd.DataFrame) -> pd.DataFrame:
-        df = pd.DataFrame(
-            {
-                "surface": batch["surface"].str.lower(),
-                "label": batch["label"],
-                "doc_key": batch["doc_key"],
-            }
-        )
-        g = (
-            df.groupby(["surface", "label", "doc_key"], sort=False)
-            .size()
-            .rename("n_mentions")
-            .reset_index()
-        )
-        g["salt"] = stable_bucket(g["doc_key"].to_numpy(), num_salts)
-        if doc_local_batches:
-            # each doc_key occurs in exactly one batch -> its row count
-            # here IS its distinct-doc contribution
-            g = (
-                g.groupby(["surface", "label", "salt"], sort=False)
-                .agg(n_mentions=("n_mentions", "sum"), n_docs=("doc_key", "size"))
-                .reset_index()
-            )
-        return g
-
     kw = {"batch_format": "pandas"}
     if doc_local_batches:
         kw["batch_size"] = None  # one batch per block preserves doc locality
-    partials = mentions.map_batches(partial_exact, **kw)
-
-    def merge_salted(df: pd.DataFrame) -> pa.Table:
-        # bucket key is (surface, salt) — hot surfaces spread over S buckets
-        n_docs = ("n_docs", "sum") if doc_local_batches else ("doc_key", "nunique")
-        g = (
-            df.groupby(["surface", "label", "__skey"], sort=False)
-            .agg(n_mentions=("n_mentions", "sum"), n_docs=n_docs)
-            .reset_index()
-        )
-        return pa.Table.from_pandas(g, schema=_SALTED_SCHEMA, preserve_index=False)
-
-    def add_skey(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__skey"] = df["surface"].str.cat(df["salt"].astype(str), sep="\x1f")
-        return df
-
-    salted = partials.map_batches(add_skey, batch_format="pandas")
-    phase1 = hash_exchange(salted, "__skey", merge_salted)
-
-    def merge_final(df: pd.DataFrame) -> pa.Table:
-        g = (
-            df.groupby(["surface", "label"], sort=False)
-            .agg(n_mentions=("n_mentions", "sum"), n_docs=("n_docs", "sum"))
-            .reset_index()
-        )
-        uniq = {s: S.entity_id(s) for s in g["surface"].unique()}
-        g.insert(0, "entity_id", g["surface"].map(uniq))
-        return pa.Table.from_pandas(g, schema=ENTITY_SCHEMA, preserve_index=False)
-
+    partials = mentions.map_batches(
+        salted_partials, fn_args=(num_salts, doc_local_batches), **kw
+    )
+    phase1 = hash_exchange(
+        partials, "__skey", functools.partial(merge_salted, doc_local=doc_local_batches)
+    )
     return hash_exchange(phase1, "surface", merge_final)

@@ -22,14 +22,19 @@ _PARENTS = ["doc_key", "conv_id"]
 _OPT_PARENTS = ["weight"]
 
 
+def explode_block(docs: pa.Table, col: str) -> pa.Table:
+    """One row per element of the list column ``col`` of ``docs``,
+    carrying the document's key columns."""
+    parents = _PARENTS + [p for p in _OPT_PARENTS if p in docs.schema.names]
+    return flatten_with_parent(docs, col, parents)
+
+
 def _explode(docs: ray.data.Dataset, col: str) -> ray.data.Dataset:
     # batch_size=None: one batch per block, preserving conv-completeness
     # per block for downstream local dedup (stages/triples.py invariant)
-    def fn(t, c=col):
-        parents = _PARENTS + [p for p in _OPT_PARENTS if p in t.schema.names]
-        return flatten_with_parent(t, c, parents)
-
-    return docs.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    return docs.map_batches(
+        explode_block, fn_args=(col,), batch_format="pyarrow", batch_size=None
+    )
 
 
 def mentions_table(docs: ray.data.Dataset) -> ray.data.Dataset:

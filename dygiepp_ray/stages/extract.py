@@ -423,6 +423,20 @@ class EncoderExtractStage(ExtractStage):
         return fl
 
 
+def _reference_mode(cfg: ExtractionConfig) -> bool:
+    # the vectorized decode needs the entity beam and antecedent chains
+    # long enough to reduce to same-surface clusters
+    return not cfg.entity_beam or cfg.max_antecedents < cfg.max_tokens_per_doc
+
+
+def batch_extractor(cfg: ExtractionConfig, stage_cls: type = ExtractStage):
+    """The callable ``extract`` maps over document batches when it runs
+    tasks: ``pa.Table`` of documents -> documents + annotation columns."""
+    if _reference_mode(cfg):
+        return ReferenceModeExtract(cfg)
+    return stage_cls(cfg)
+
+
 def extract(
     docs: ray.data.Dataset,
     cfg: ExtractionConfig = DEFAULT_CONFIG,
@@ -439,13 +453,10 @@ def extract(
     ``stage_cls=EncoderExtractStage`` (heavy state loaded once per
     actor, ``models/dygie.py:56-138`` analogue) and pass
     ``concurrency=N, num_gpus=1, batch_size=B`` sized to the fleet."""
-    if not cfg.entity_beam or cfg.max_antecedents < cfg.max_tokens_per_doc:
+    if concurrency is None or _reference_mode(cfg):
         return docs.map_batches(
-            ReferenceModeExtract(cfg), batch_format="pyarrow", batch_size=batch_size
-        )
-    if concurrency is None:
-        return docs.map_batches(
-            stage_cls(cfg), batch_format="pyarrow", batch_size=batch_size
+            batch_extractor(cfg, stage_cls), batch_format="pyarrow",
+            batch_size=batch_size,
         )
     # A CPU actor pool as wide as the CPU budget starves the upstream
     # read stage and deadlocks the streaming executor (no GPU pools:

@@ -100,17 +100,21 @@ def triples_local_dedup(relations: ray.data.Dataset) -> ray.data.Dataset:
     Callers must keep batches block-sized (``batch_size=None``) so a
     conversation is never split across two batch calls.
     """
+    return relations.map_batches(
+        conv_local_triples, batch_format="pandas", batch_size=None
+    )
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "conv_id": df["conv_id"],
-                "subj": df["subj"].str.lower(),
-                "pred": df["label"],
-                "obj": df["obj"].str.lower(),
-                "score": df["softmax"].astype(np.float32),
-            }
-        )
-        return _finalize_ids(out)
 
-    return relations.map_batches(fn, batch_format="pandas", batch_size=None)
+def conv_local_triples(df: pd.DataFrame) -> pd.DataFrame:
+    """Deduped triples of a batch of relation rows that holds each of its
+    conversations whole (the ``triples_local_dedup`` invariant)."""
+    out = pd.DataFrame(
+        {
+            "conv_id": df["conv_id"],
+            "subj": df["subj"].str.lower(),
+            "pred": df["label"],
+            "obj": df["obj"].str.lower(),
+            "score": df["softmax"].astype(np.float32),
+        }
+    )
+    return _finalize_ids(out)

@@ -27,8 +27,12 @@ data directory (``part=N.tmp`` -> ``part=N``), then its manifest, then
 a ``part=N`` without a manifest; readers skip the first, and a resume
 rewrites both.
 
-Each partition is written by the bucket function of one
-``hash_exchange`` on ``key``, so a partition is one task's output;
+Each partition is written by ``write_part`` inside the bucket function
+of one ``hash_exchange`` on ``key`` at ``num_partitions`` buckets, so a
+partition is one task's output: ``write_partitioned``'s own exchange,
+or ``KGPipeline.run_all``'s conv_id exchange, which writes the triples
+and clusters partitions from the task that assembles and extracts their
+conversations.  Both end in ``finish_table``.
 ``Dataset.write_parquet(partition_cols=...)`` lacks the tmp-dir +
 rename atomicity this relies on.
 """
@@ -40,6 +44,7 @@ import os
 import re
 import shutil
 import time
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
@@ -98,78 +103,123 @@ def _check_layout(out_dir: str, done: set[int], key: str, num_partitions: int) -
             )
 
 
-def write_partitioned(
-    ds: ray.data.Dataset,
+def partition_of(keys, num_partitions: int) -> int:
+    """The partition of a bucket whose keys all hash alike (the bucket of
+    an exchange at ``num_partitions`` buckets): its first key's."""
+    return int(stable_bucket(keys[:1], num_partitions)[0])
+
+
+def write_part(
+    df: pd.DataFrame | pa.Table,
     out_dir: str,
     key: str,
-    num_partitions: int = 32,
-) -> dict:
-    """Write ``ds`` hash-partitioned on ``key``; idempotent per partition.
+    num_partitions: int,
+    done: set[int],
+) -> None:
+    """Write the rows of one bucket as partition
+    ``stable_bucket(key, num_partitions)``: data through ``part=N.tmp``
+    and ``os.replace``, then the part manifest.  Every row must hash to
+    the same partition (the caller's exchange guarantees it).  An empty
+    bucket or one in ``done`` writes nothing."""
+    if isinstance(df, pa.Table):
+        df = df.to_pandas()
+    if len(df) == 0:
+        return
+    bucket = partition_of(df[key].to_numpy(), num_partitions)
+    if bucket in done:
+        return
+    pdir = _part_dir(out_dir, bucket)
+    tmp = pdir + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp, exist_ok=True)
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    pq.write_table(tbl, os.path.join(tmp, "data.parquet"))
+    shutil.rmtree(pdir, ignore_errors=True)
+    os.replace(tmp, pdir)
+    # order-insensitive content fingerprint (SUM of per-row hashes
+    # mod 2^64 — unlike XOR, duplicate rows accumulate instead of
+    # cancelling, so equal-row-count multisets can't trivially
+    # collide; review r4): resume/audit can verify a partition's
+    # integrity without re-reading upstream lineage
+    row_hashes = pd.util.hash_pandas_object(
+        df.astype(str), index=False
+    ).to_numpy(np.uint64)
+    with np.errstate(over="ignore"):
+        fingerprint = format(int(np.add.reduce(row_hashes)), "016x")
+    manifest = {
+        "bucket": bucket,
+        "key": key,
+        "num_partitions": num_partitions,
+        "rows": len(df),
+        "n_keys": int(df[key].nunique()),
+        "fingerprint": fingerprint,
+        "ts": time.time(),
+    }
+    _write_json(_part_manifest(out_dir, bucket), manifest)
 
-    Returns the run manifest dict.  Partitions listed in
-    ``completed_partitions`` are skipped entirely (resume path).  A
-    directory written with another ``key`` or ``num_partitions``
-    raises ValueError.
-    """
+
+def prepare_table(out_dir: str, key: str, num_partitions: int) -> set[int]:
+    """Create ``out_dir`` and return its already-manifested partitions,
+    the ``done`` set of :func:`write_part`.  Raises ValueError (before
+    anything is written) when the directory holds another layout."""
     os.makedirs(out_dir, exist_ok=True)
     done = completed_partitions(out_dir)
     _check_layout(out_dir, done, key, num_partitions)
+    return done
 
-    def write_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"bucket": [-1], "rows": [0], "skipped": [True]})
-        bucket = int(stable_bucket(df[key].to_numpy(), num_partitions)[0])
-        if bucket in done:
-            return pd.DataFrame({"bucket": [bucket], "rows": [0], "skipped": [True]})
-        pdir = _part_dir(out_dir, bucket)
-        tmp = pdir + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-        tbl = pa.Table.from_pandas(df, preserve_index=False)
-        pq.write_table(tbl, os.path.join(tmp, "data.parquet"))
-        shutil.rmtree(pdir, ignore_errors=True)
-        os.replace(tmp, pdir)
-        # order-insensitive content fingerprint (SUM of per-row hashes
-        # mod 2^64 — unlike XOR, duplicate rows accumulate instead of
-        # cancelling, so equal-row-count multisets can't trivially
-        # collide; review r4): resume/audit can verify a partition's
-        # integrity without re-reading upstream lineage
-        row_hashes = pd.util.hash_pandas_object(
-            df.astype(str), index=False
-        ).to_numpy(np.uint64)
-        with np.errstate(over="ignore"):
-            fingerprint = format(int(np.add.reduce(row_hashes)), "016x")
-        manifest = {
-            "bucket": bucket,
-            "key": key,
-            "num_partitions": num_partitions,
-            "rows": len(df),
-            "n_keys": int(df[key].nunique()),
-            "fingerprint": fingerprint,
-            "ts": time.time(),
-        }
-        _write_json(_part_manifest(out_dir, bucket), manifest)
-        return pd.DataFrame({"bucket": [bucket], "rows": [len(df)], "skipped": [False]})
 
-    # NOTE: hash_exchange buckets with the same stable hash used in
-    # write_bucket, so each group lands wholly in one partition directory.
-    results = hash_exchange(
-        ds, key, write_bucket, num_buckets=num_partitions
-    ).to_pandas()
-    written = results.loc[(results["bucket"] >= 0) & ~results["skipped"], "bucket"]
-    parts = sorted(done | set(written.tolist()))
+def finish_table(out_dir: str, key: str, num_partitions: int, done: set[int]) -> dict:
+    """Write ``_MANIFEST.json`` once every bucket of a write has run and
+    return it.  ``done`` is :func:`prepare_table`'s set; the partitions
+    written since then are the part manifests that are not in it."""
+    added = completed_partitions(out_dir) - done
+    rows = 0
+    for b in added:
+        with open(_part_manifest(out_dir, b)) as f:
+            rows += json.load(f)["rows"]
+    parts = sorted(done | added)
     run = {
         "partitions": len(parts),
-        "rows_written": int(results["rows"].sum()),
+        "rows_written": rows,
         # every listed part this call did not write, whether or not its
         # rows reached the call (a filtered resume sends only lost ones)
-        "skipped": len(parts) - len(written),
+        "skipped": len(parts) - len(added),
         "num_partitions": num_partitions,
         "key": key,
         "parts": parts,
     }
     _write_json(os.path.join(out_dir, "_MANIFEST.json"), run)
     return run
+
+
+def write_partitioned(
+    ds: ray.data.Dataset,
+    out_dir: str,
+    key: str,
+    num_partitions: int = 32,
+    fn: Callable[[pd.DataFrame], pd.DataFrame | pa.Table] | None = None,
+) -> dict:
+    """Write ``ds`` hash-partitioned on ``key``; idempotent per partition.
+
+    ONE exchange on ``key`` at ``num_partitions`` buckets: bucket N
+    holds exactly the rows of partition N, and its task writes them
+    (``write_part``).  ``fn``, when given, runs on each bucket's rows
+    first (a per-key aggregate whose groups the bucket holds whole); its
+    output must keep ``key``.  Returns the run manifest.  Partitions
+    listed in ``completed_partitions`` are skipped entirely (resume
+    path), ``fn`` included.  A directory written with another ``key``
+    or ``num_partitions`` raises ValueError.
+    """
+    done = prepare_table(out_dir, key, num_partitions)
+
+    def write_bucket(df: pd.DataFrame) -> pa.Table:
+        if len(df) and partition_of(df[key].to_numpy(), num_partitions) not in done:
+            write_part(fn(df) if fn else df, out_dir, key, num_partitions, done)
+        return pa.table({})
+
+    # the exchange is eager: every bucket is written when it returns
+    hash_exchange(ds, key, write_bucket, num_buckets=num_partitions)
+    return finish_table(out_dir, key, num_partitions, done)
 
 
 def _listed_parts(out_dir: str, key: str, num_partitions: int) -> list[int] | None:

@@ -53,16 +53,21 @@ def _rollup(df: pd.DataFrame) -> pd.DataFrame:
 def save_kg_store(
     triples: "ray.data.Dataset", path: str, num_buckets: int = 16
 ) -> dict:
-    """Materialize (conv_id, subj, pred, obj) triples into the store:
-    ONE subject-keyed exchange rolls up cross-conversation support,
-    then the manifested writer lays the rolled rows out as one
-    ``part=N`` directory per subject bucket — idempotent per partition
-    (a re-run after a crash skips every manifested bucket).  Returns
-    the run manifest."""
-    rolled = hash_exchange(triples, "subj", _rollup,
-                                    num_buckets=num_buckets)
-    return write_partitioned(rolled, path, key="subj",
-                             num_partitions=num_buckets)
+    """Materialize (conv_id, subj, pred, obj) triples into the store in
+    ONE subject-keyed exchange: each bucket is one ``part=N`` directory,
+    and its task rolls up the cross-conversation support of its subjects
+    and writes them through the manifested writer — idempotent per
+    partition (a re-run after a crash skips every manifested bucket).
+    Returns the run manifest."""
+    return write_partitioned(triples, path, key="subj",
+                             num_partitions=num_buckets, fn=_rollup)
+
+
+def _merge(df: pd.DataFrame) -> pd.DataFrame:
+    """Store rows of disjoint conversation sets -> summed supports."""
+    g = df.groupby(["subj", "pred", "obj"], as_index=False)["n_convs"].sum()
+    g["n_convs"] = g["n_convs"].astype(np.int64)
+    return g
 
 
 def upsert_kg_store(
@@ -79,39 +84,27 @@ def upsert_kg_store(
 
     The delta rolls up to the store schema on its own subject-keyed
     exchange, unions with the base store rows (a cheap metadata union —
-    no shuffle), and the manifested writer's subject partitioning folds
-    supports per bucket on the way out.  Cost per cycle is O(base +
+    no shuffle), and the manifested writer's subject exchange folds
+    supports per bucket as it writes it.  Cost per cycle is O(base +
     delta) STORE rows (distinct triples — never O(corpus)); a hash
     delta of any size touches ~every subject bucket, so unchanged-
     partition copy-through is deliberately not attempted."""
-    delta = hash_exchange(delta_triples, "subj", _rollup,
-                                   num_buckets=num_buckets)
     from .checkpoint import completed_partitions, read_partitioned
 
     if not completed_partitions(base_path):
         # empty base (e.g. first-ever ingest over an empty corpus):
         # the merged store is just the delta
-        return write_partitioned(delta, out_path, key="subj",
-                                 num_partitions=num_buckets)
+        return save_kg_store(delta_triples, out_path, num_buckets)
+    delta = hash_exchange(delta_triples, "subj", _rollup,
+                          num_buckets=num_buckets)
     # drop the hive-parsed part column so base and delta union cleanly
     base = read_partitioned(base_path).map_batches(
         lambda df: df.drop(
             columns=[c for c in ("part",) if c in df.columns]),
         batch_format="pandas",
     )
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "subj" not in df.columns:
-            return _empty_store_df()
-        g = df.groupby(["subj", "pred", "obj"], as_index=False)[
-            "n_convs"].sum()
-        g["n_convs"] = g["n_convs"].astype(np.int64)
-        return g
-
-    merged = hash_exchange(base.union(delta), "subj", merge,
-                                    num_buckets=num_buckets)
-    return write_partitioned(merged, out_path, key="subj",
-                             num_partitions=num_buckets)
+    return write_partitioned(base.union(delta), out_path, key="subj",
+                             num_partitions=num_buckets, fn=_merge)
 
 
 def kg_lookup(path: str, subject: str) -> pd.DataFrame:

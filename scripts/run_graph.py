@@ -2,7 +2,7 @@
 
     ray job submit -- python scripts/run_graph.py \
         --input /data/transcripts --output /data/graph \
-        [--num-buckets 4096] [--num-partitions 1024] [--fresh]
+        [--num-partitions 1024] [--num-cpus N] [--fresh]
 
 Reads the transcript Parquet table (BASELINE.json input_hint shape),
 runs the flagship pipeline, and writes the graph store (triples +
@@ -28,10 +28,9 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--input", required=True, help="transcript parquet path/dir")
     ap.add_argument("--output", required=True, help="graph store output dir")
-    ap.add_argument("--num-buckets", type=int, default=256,
-                    help="assembly exchange buckets (~2-4x cluster cores)")
     ap.add_argument("--num-partitions", type=int, default=64,
-                    help="output partitions per table")
+                    help="output partitions per table; also the conv_id "
+                         "exchange's bucket count (~2-4x cluster cores)")
     ap.add_argument("--num-cpus", type=int, default=None,
                     help="local-mode CPU cap (omit on a real cluster)")
     ap.add_argument("--fresh", action="store_true",
@@ -60,7 +59,7 @@ def main() -> int:
         shutil.rmtree(args.output, ignore_errors=True)
 
     t0 = time.perf_counter()
-    pipe = from_parquet(args.input, num_buckets=args.num_buckets)
+    pipe = from_parquet(args.input)
     manifests = pipe.run_all(args.output, num_partitions=args.num_partitions)
     wall = time.perf_counter() - t0
     print(json.dumps({"wall_s": round(wall, 2), "manifests": manifests}))

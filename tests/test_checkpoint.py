@@ -258,3 +258,17 @@ def test_kg_store_resave_skips_manifested_partitions(ray_session, tmp_path):
     assert second["skipped"] >= first["partitions"]
     for f, m in mtimes.items():
         assert os.path.getmtime(f) == m  # bytes untouched
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rd.from_items([]),
+    lambda: rd.range(0).map(lambda r: {"conv_id": str(r["id"])}),
+], ids=["from_items", "range_map"])
+def test_write_partitioned_zero_blocks(ray_session, tmp_path, make):
+    """A Dataset with no blocks writes an empty table, not a KeyError."""
+    out = str(tmp_path / "graph")
+    run = C.write_partitioned(make(), out, "conv_id", num_partitions=4)
+    assert run["parts"] == []
+    assert run["partitions"] == run["rows_written"] == 0
+    with open(os.path.join(out, "_MANIFEST.json")) as f:
+        assert json.load(f) == run

@@ -1,8 +1,11 @@
 """Resume without recomputation: ``run_all`` decides per table from the
 checkpoint manifests, extracts only the conversations whose partitions
 were lost, and a killed write (orphan ``part=N.tmp``, ``part=N`` without
-a manifest) is rewritten exactly.  Also the manifest and reader
-primitives of ``state/checkpoint.py`` and the Ray-free ``kg_lookup``."""
+a manifest) is rewritten exactly.  ``run_all``'s fused write (one
+conv_id exchange that also writes the triples and clusters partitions)
+matches ``write_partitioned`` over the lazily built lineage, in at most
+three exchanges.  Also the manifest and reader primitives of
+``state/checkpoint.py`` and the Ray-free ``kg_lookup``."""
 
 import json
 import os
@@ -24,6 +27,7 @@ from dygiepp_ray.synth import make_transcripts
 
 NP = 4  # run_all partitions (entities get max(4, NP // 8) = 4)
 TABLES = ("triples", "entities", "clusters")
+NO_COREF = replace(DEFAULT_CONFIG, tasks=("ner", "relations", "events"))
 
 
 def _parts(table_dir: str) -> dict[int, dict]:
@@ -45,27 +49,43 @@ def _ts(table_dir: str) -> dict[int, float]:
 
 @pytest.fixture()
 def extracted(monkeypatch):
-    """The documents Dataset of every extraction ``KGPipeline`` builds."""
+    """The transcripts Dataset entering every conv_id exchange of
+    ``run_all``: that exchange's tasks assemble and extract, so its
+    input is exactly what gets extracted."""
     seen = []
-    real = kg.extract
+    real = kg.hash_exchange
 
-    def spy(docs, *a, **kw):
-        seen.append(docs)
-        return real(docs, *a, **kw)
+    def spy(ds, key, *a, **kw):
+        if key == "conv_id":
+            seen.append(ds)
+        return real(ds, key, *a, **kw)
 
-    monkeypatch.setattr(kg, "extract", spy)
+    monkeypatch.setattr(kg, "hash_exchange", spy)
     return seen
+
+
+def _seen(extracted) -> tuple[list[str], int]:
+    """The conversations and the turn count of every spied input."""
+    frames = [d.to_pandas() for d in extracted]
+    convs = sorted({c for f in frames for c in f["conv_id"]})
+    return convs, sum(len(f) for f in frames)
+
+
+def _turns_in(tbl, buckets, num_partitions: int) -> tuple[list[str], int]:
+    """The conversations (and their turn count) of ``tbl`` that hash to
+    ``buckets``."""
+    conv = tbl["conv_id"].to_numpy(zero_copy_only=False)
+    hit = np.isin(stable_bucket(conv, num_partitions), list(buckets))
+    return sorted(set(conv[hit])), int(hit.sum())
 
 
 @pytest.fixture(scope="module")
 def clean(ray_session, tmp_path_factory):
-    """One clean graph store, its per-table content and the documents of
-    each triples partition."""
+    """One clean graph store, its per-table content and the
+    conversations (and turn count) of any set of triples partitions."""
     tbl = make_transcripts(16, seed=41)
     out = str(tmp_path_factory.mktemp("clean") / "graph")
     KGPipeline(rd.from_arrow(tbl), num_buckets=4).run_all(out, NP)
-    docs = kg.assemble_documents(rd.from_arrow(tbl), num_buckets=4).to_pandas()
-    doc_bucket = stable_bucket(docs["conv_id"].to_numpy(), NP)
     content = {t: _content(os.path.join(out, t)) for t in TABLES}
     # every damage case below hits a non-empty partition
     assert all(sorted(content[t]) == list(range(NP)) for t in TABLES)
@@ -73,7 +93,7 @@ def clean(ray_session, tmp_path_factory):
         "tbl": tbl,
         "out": out,
         "content": content,
-        "docs_in": lambda buckets: int(np.isin(doc_bucket, list(buckets)).sum()),
+        "turns_in": lambda buckets: _turns_in(tbl, buckets, NP),
     }
 
 
@@ -110,7 +130,7 @@ def test_resume_extracts_only_lost_conversations(clean, tmp_path, extracted):
     before = _ts(tdir)
     m = KGPipeline(rd.from_arrow(clean["tbl"]), num_buckets=4).run_all(out, NP)
 
-    assert sum(d.count() for d in extracted) == clean["docs_in"](lost)
+    assert _seen(extracted) == clean["turns_in"](lost)
     after = _ts(tdir)
     assert sorted(b for b in after if before.get(b) != after[b]) == lost
     assert m["triples"]["rows_written"] == sum(
@@ -160,7 +180,7 @@ def test_kill_mid_write_rewrites_exactly_the_damage(clean, tmp_path, extracted, 
     m = KGPipeline(rd.from_arrow(clean["tbl"]), num_buckets=4).run_all(out, NP)
 
     lost = {b for hits in damage.values() for b, _ in hits}
-    assert sum(d.count() for d in extracted) == clean["docs_in"](lost)
+    assert _seen(extracted) == clean["turns_in"](lost)
     for t in TABLES:
         after = _ts(os.path.join(out, t))
         rewritten = sorted(b for b in after if before[t].get(b) != after[b])
@@ -177,7 +197,7 @@ def test_lost_entity_partition_reruns_full_extraction(clean, tmp_path, extracted
     os.remove(C._part_manifest(edir, victim))
     before = _ts(edir)
     m = KGPipeline(rd.from_arrow(clean["tbl"]), num_buckets=4).run_all(out, NP)
-    assert sum(d.count() for d in extracted) == clean["docs_in"](range(NP))
+    assert _seen(extracted) == clean["turns_in"](range(NP))
     after = _ts(edir)
     assert [b for b in after if before.get(b) != after[b]] == [victim]
     assert m["triples"]["rows_written"] == m["clusters"]["rows_written"] == 0
@@ -185,7 +205,7 @@ def test_lost_entity_partition_reruns_full_extraction(clean, tmp_path, extracted
 
 
 def test_resume_without_coref(ray_session, tmp_path, extracted):
-    cfg = replace(DEFAULT_CONFIG, tasks=("ner", "relations", "events"))
+    cfg = NO_COREF
     tbl = make_transcripts(8, seed=7)
     out = str(tmp_path / "graph")
     KGPipeline(rd.from_arrow(tbl), cfg, num_buckets=2).run_all(out, 2)
@@ -200,9 +220,88 @@ def test_resume_without_coref(ray_session, tmp_path, extracted):
     assert m["triples"]["rows_written"] == content[lost][0]
     assert m["entities"]["rows_written"] == 0
     assert _content(tdir) == content
-    docs = kg.assemble_documents(rd.from_arrow(tbl), num_buckets=2).to_pandas()
-    want = int((stable_bucket(docs["conv_id"].to_numpy(), 2) == lost).sum())
-    assert sum(d.count() for d in extracted) == want
+    assert _seen(extracted) == _turns_in(tbl, [lost], 2)
+
+
+@pytest.mark.parametrize("cfg, n_convs, num_partitions", [
+    (DEFAULT_CONFIG, 12, 4),
+    (NO_COREF, 12, 4),
+    # more partitions than conversations: most buckets are empty
+    (DEFAULT_CONFIG, 3, 16),
+], ids=["coref", "no_coref", "empty_buckets"])
+def test_run_all_matches_lineage_writes(ray_session, tmp_path, cfg, n_convs,
+                                        num_partitions):
+    """The fused run_all writes the same partitions, rows and
+    fingerprints as write_partitioned over the lazily built tables."""
+    tbl = make_transcripts(n_convs, seed=23)
+    fused_dir = str(tmp_path / "fused")
+    fused = KGPipeline(rd.from_arrow(tbl), cfg, num_buckets=2).run_all(
+        fused_dir, num_partitions)
+    pipe = KGPipeline(rd.from_arrow(tbl), cfg, num_buckets=2)
+    lineage = {
+        "triples": (pipe.triples(), "conv_id", num_partitions),
+        "entities": (pipe.entities(), "surface", max(4, num_partitions // 8)),
+    }
+    if "coref" in cfg.tasks:
+        lineage["clusters"] = (pipe.clusters, "conv_id", num_partitions)
+    assert sorted(fused) == sorted(lineage)
+    for t, (ds, key, n) in lineage.items():
+        ref_dir = str(tmp_path / "lineage" / t)
+        assert fused[t] == C.write_partitioned(ds, ref_dir, key, n), t
+        got = _content(os.path.join(fused_dir, t))
+        assert got == _content(ref_dir), t
+        # an empty bucket writes no partition and is not listed
+        assert sorted(got) == fused[t]["parts"]
+        assert all(rows for rows, _ in got.values())
+        assert sorted(d for d in os.listdir(os.path.join(fused_dir, t))
+                       if os.path.isdir(os.path.join(fused_dir, t, d))) == [
+            f"part={b:05d}" for b in fused[t]["parts"]]
+    if num_partitions > n_convs:
+        assert len(fused["triples"]["parts"]) <= n_convs
+
+
+def test_collated_run_all_matches_direct(ray_session, tmp_path):
+    """The collated path writes the lazily built tables one by one; its
+    store equals the direct path's fused store, partition by partition."""
+    tbl = make_transcripts(12, seed=3)
+    direct, collated = str(tmp_path / "direct"), str(tmp_path / "collated")
+    KGPipeline(rd.from_arrow(tbl), num_buckets=2).run_all(direct, NP)
+    m = KGPipeline(rd.from_arrow(tbl), num_buckets=2, collate_extract=True,
+                   extract_concurrency=2).run_all(collated, NP)
+    assert sorted(m) == sorted(TABLES)
+    for t in TABLES:
+        assert _content(os.path.join(collated, t)) == _content(os.path.join(direct, t)), t
+
+
+def test_exchange_counts(ray_session, tmp_path, monkeypatch):
+    """A clean run_all runs at most 3 exchanges, a triples-only resume
+    1 and save_kg_store 1 (each side of a coexchange would count)."""
+    from dygiepp_ray import core
+    from dygiepp_ray.stages.triples import TRIPLE_KEY
+    from dygiepp_ray.state.kgstore import save_kg_store
+
+    keys = []
+    real = core._stream_gens
+
+    def spy(blocks, key, *a, **kw):
+        keys.append(key)
+        return real(blocks, key, *a, **kw)
+
+    monkeypatch.setattr(core, "_stream_gens", spy)
+    tbl = make_transcripts(12, seed=29)
+    out = str(tmp_path / "graph")
+    KGPipeline(rd.from_arrow(tbl), num_buckets=4).run_all(out, NP)
+    assert len(keys) <= 3, keys
+    tdir = os.path.join(out, "triples")
+    os.remove(C._part_manifest(tdir, sorted(C.completed_partitions(tdir))[0]))
+    keys.clear()
+    m = KGPipeline(rd.from_arrow(tbl), num_buckets=4).run_all(out, NP)
+    assert keys == ["conv_id"]
+    assert m["triples"]["rows_written"] > 0
+    keys.clear()
+    save_kg_store(C.read_partitioned(tdir).select_columns(TRIPLE_KEY),
+                  str(tmp_path / "store"), num_buckets=4)
+    assert keys == ["subj"]
 
 
 @pytest.fixture()
