@@ -8,8 +8,10 @@ transcripts --assemble (conv_id shuffle)--> documents
           --write (partitioned parquet + manifest)--> graph store
 
 Every edge is a lazy Ray Data Dataset; nothing materializes the full
-corpus.  ``KGPipeline.run_all`` runs assemble -> write inside the tasks
-of one conv_id exchange whose buckets are the store's partitions.
+corpus.  ``KGPipeline.triples()`` runs assemble -> triples inside the
+tasks of one conv_id exchange, and ``KGPipeline.run_all`` runs
+assemble -> write inside the tasks of one conv_id exchange whose
+buckets are the store's partitions.
 Reference lifecycle analogue: SURVEY.md §3.1 (allennlp predict).
 """
 
@@ -20,6 +22,7 @@ import os
 from dataclasses import replace as _cfg_replace
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray.data
 
@@ -35,13 +38,16 @@ from ..stages.canonicalize import (
 from ..stages.collate import collate, explode_sentences, uncollate_predictions
 from ..stages.extract import EncoderExtractStage, batch_extractor, extract
 from ..stages.triples import (
-    conv_local_triples, triples_from_relations, triples_local_dedup,
+    TRIPLE_SCHEMA, conv_local_triples, triples_from_relations,
 )
 from ..state.checkpoint import (
     complete_manifest, finish_table, missing_partitions, partition_of,
     prepare_table, write_part, write_partitioned,
 )
 
+
+# the extraction task whose annotations each graph store table is built from
+_TABLE_TASK = {"triples": "relations", "clusters": "coref", "entities": "ner"}
 
 # attributes _build sets; the first read of any of them builds the lineage
 _LINEAGE = frozenset({
@@ -60,11 +66,14 @@ class KGPipeline:
     """Composable handle over the pipeline's intermediate Datasets.
 
     The lineage (``documents``, ``predicted``, ``mentions``, ...,
-    ``triples()``, ``entities()``, ``clusters``) is built lazily on first
-    read; ``num_buckets`` (the assembly exchange) and the ``extract_*``
-    actor-pool arguments apply to it.  ``run_all``'s direct path does
-    not read the lineage: its one conv_id exchange runs at the store's
-    partition count (bucket = partition) with stateless extraction.
+    ``entities()``, ``clusters``) is built lazily on first read;
+    ``num_buckets`` (the assembly exchange) and the ``extract_*``
+    actor-pool arguments apply to it.  On the direct path ``triples()``
+    and ``run_all`` do not read the lineage.  Each runs one conv_id
+    exchange whose tasks do the whole job with stateless extraction of
+    only the tasks their outputs read: ``triples()`` at ``num_buckets``
+    buckets, ``run_all`` at the store's partition count (bucket =
+    partition).
 
     ``collate_extract=True`` runs the GPU-shaped deployment of the
     north star: sentences are length-sorted and bin-packed into
@@ -192,23 +201,27 @@ class KGPipeline:
     def entities(self, num_salts: int = NUM_SALTS) -> ray.data.Dataset:
         return canonicalize(self.mentions, num_salts=num_salts)
 
-    def triples(self, local_dedup: bool = True) -> ray.data.Dataset:
-        """Deduped (conv, subj, pred, obj) triples.
+    def triples(self) -> ray.data.Dataset:
+        """Deduped (conv, subj, pred, obj) triples with content-addressed
+        entity ids (``TRIPLE_SCHEMA``).
 
-        ``local_dedup=True`` (default) exploits that the assembly
-        exchange already partitions by conv_id — the triple key's
-        prefix — so dedup completes block-locally with NO second
-        shuffle (see ``triples_local_dedup`` for the invariant).
-        ``local_dedup=False`` runs the general keyed-exchange path for
-        relation streams of unknown partitioning.  The collated path
-        partitions relations by doc_key (not conv_id), so it always
-        takes the general path."""
-        if local_dedup and not self.collated:
-            return triples_local_dedup(self.relations)
-        return triples_from_relations(self.relations)
-
-    def write_graph(self, out_dir: str, num_partitions: int = 32) -> dict:
-        return write_partitioned(self.triples(), out_dir, "conv_id", num_partitions)
+        On the direct path this is ONE conv_id exchange at
+        ``num_buckets`` whose tasks assemble, extract, explode and dedup
+        their conversations (``_triples_bucket``): a bucket holds each of
+        its conversations whole, and the conversation is the triple
+        key's prefix, so the bucket-local dedup is global.  Extraction
+        runs only the ``relations`` task, the one the triples read.  The
+        exchange is eager: everything runs inside this call, and no
+        lineage is built.  The ``extract_*`` arguments apply only on the
+        collated path, which partitions relations by doc_key (not
+        conv_id) and so dedups through the general keyed exchange."""
+        if self.collated:
+            return triples_from_relations(self.relations)
+        return hash_exchange(
+            self.transcripts, "conv_id",
+            functools.partial(_triples_bucket, cfg=_narrow(self.cfg, {"relations"})),
+            num_buckets=self._kw["num_buckets"], fn_format="pyarrow",
+        )
 
     def run_all(self, out_dir: str, num_partitions: int = 32) -> dict:
         """The full graph store under ``out_dir``: triples and clusters
@@ -273,6 +286,33 @@ class KGPipeline:
         return manifests
 
 
+def _narrow(cfg: ExtractionConfig, needed: set[str]) -> ExtractionConfig:
+    """``cfg`` extracting only the tasks in ``needed``.  Extraction
+    computes mentions whatever ``tasks`` holds, and each task reads the
+    tokens and mentions, never another task's output; ``tasks`` only
+    gates which annotation columns are computed and emitted.  So the
+    kept tasks' rows are unchanged."""
+    return _cfg_replace(cfg, tasks=tuple(t for t in cfg.tasks if t in needed))
+
+
+def _local_triples(pred: pa.Table) -> pd.DataFrame:
+    """Deduped triples of extracted documents that hold each of their
+    conversations whole."""
+    return conv_local_triples(explode.explode_block(pred, "relations").to_pandas())
+
+
+def _triples_bucket(tbl: pa.Table, cfg: ExtractionConfig) -> pa.Table:
+    """One conv_id bucket of ``KGPipeline.triples()``: the deduped
+    triples of every conversation whose turns it holds."""
+    docs = assemble_bucket(tbl, cfg)
+    if docs.num_rows == 0:
+        return TRIPLE_SCHEMA.empty_table()
+    return pa.Table.from_pandas(
+        _local_triples(batch_extractor(cfg)(docs)), schema=TRIPLE_SCHEMA,
+        preserve_index=False,
+    )
+
+
 def _graph_bucket(
     tbl: pa.Table, cfg: ExtractionConfig, num_partitions: int, writes: list,
     partials: bool,
@@ -287,8 +327,7 @@ def _graph_bucket(
         return SALTED_SCHEMA.empty_table()
     pred = batch_extractor(cfg)(docs)
     rows = {
-        "triples": lambda: conv_local_triples(
-            explode.explode_block(pred, "relations").to_pandas()),
+        "triples": lambda: _local_triples(pred),
         "clusters": lambda: explode.explode_block(pred, "cluster_members"),
     }
     part = partition_of(tbl["conv_id"][:1].to_pylist(), num_partitions)
@@ -313,6 +352,7 @@ def _run_all_direct(
     done = {name: prepare_table(*spec) for name, spec in todo.items()}
     writes = [(name, todo[name][0], done[name])
               for name in ("triples", "clusters") if name in todo]
+    cfg = _narrow(cfg, {_TABLE_TASK[name] for name in todo})
     salted = hash_exchange(
         src, "conv_id",
         functools.partial(_graph_bucket, cfg=cfg, num_partitions=num_partitions,

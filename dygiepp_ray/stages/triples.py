@@ -85,7 +85,10 @@ def triples_from_relations(
 
 
 def triples_local_dedup(relations: ray.data.Dataset) -> ray.data.Dataset:
-    """Shuffle-free dedup for conv-partitioned relation streams.
+    """Shuffle-free dedup for conv-partitioned relation streams: the
+    lineage form of the dedup, over a relations Dataset such as
+    ``KGPipeline.relations``.  ``KGPipeline.triples()`` does not use it;
+    its exchange tasks call ``conv_local_triples`` on whole buckets.
 
     Partitioning assumption (MUST hold, documented per SURVEY.md §2
     custom-operator rule): every relation row of a given ``conv_id``

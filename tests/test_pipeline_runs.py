@@ -1,19 +1,49 @@
 """Pipeline-level runs: actor-pool extraction, run_all graph store with
-resume, embedding near-dups, hopping windows."""
+resume, the one-exchange triples() path, embedding near-dups, hopping
+windows."""
 
+import contextlib
 import json
+import logging
 import os
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
 import pytest
 
+import ray
 import ray.data as rd
 
 from dygiepp_ray.pipelines.kg import KGPipeline
+from dygiepp_ray.semantics import DEFAULT_CONFIG
 from dygiepp_ray.stages.extract import extract
+from dygiepp_ray.stages.triples import TRIPLE_KEY, TRIPLE_SCHEMA, triples_local_dedup
 from dygiepp_ray.synth import make_transcripts
 from dygiepp_ray.textops import ann
+
+
+@contextlib.contextmanager
+def schema_drift_warnings():
+    """The "different schema" warnings Ray Data logs while the ``with``
+    body runs (the list fills when the body exits)."""
+    messages = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            messages.append(record.getMessage())
+
+    ray_log = logging.getLogger("ray.data")
+    handler, level = Capture(logging.WARNING), ray_log.level
+    ray_log.addHandler(handler)
+    ray_log.setLevel(logging.WARNING)
+    drift = []
+    try:
+        yield drift
+    finally:
+        ray_log.removeHandler(handler)
+        ray_log.setLevel(level)
+        drift.extend(m for m in messages if "different schema" in m)
 
 
 def test_actor_pool_extraction_matches_tasks(ray_session):
@@ -65,33 +95,15 @@ def test_run_all_emits_no_schema_drift(ray_session, tmp_path):
     input block into a column-less block without calling the UDF, so an
     empty assembly bucket makes extraction warn whatever the engine
     emits (empty assembly buckets are checked in test_assemble)."""
-    import logging
-
     import pyarrow.parquet as pq
 
     from dygiepp_ray.stages.canonicalize import ENTITY_SCHEMA
 
-    class Capture(logging.Handler):
-        def __init__(self):
-            super().__init__(logging.WARNING)
-            self.messages = []
-
-        def emit(self, record):
-            self.messages.append(record.getMessage())
-
-    ray_log = logging.getLogger("ray.data")
-    handler, level = Capture(), ray_log.level
-    ray_log.addHandler(handler)
-    ray_log.setLevel(logging.WARNING)
-    try:
-        out = str(tmp_path / "graph")
+    out = str(tmp_path / "graph")
+    with schema_drift_warnings() as drift:
         manifests = KGPipeline(rd.from_arrow(make_transcripts(20, seed=5)), num_buckets=4).run_all(
             out, num_partitions=4
         )
-    finally:
-        ray_log.removeHandler(handler)
-        ray_log.setLevel(level)
-    drift = [m for m in handler.messages if "different schema" in m]
     assert not drift, "\n".join(drift)
     assert manifests["entities"]["rows_written"] > 0
     edir = os.path.join(out, "entities")
@@ -101,14 +113,60 @@ def test_run_all_emits_no_schema_drift(ray_session, tmp_path):
             assert schema.remove_metadata().equals(ENTITY_SCHEMA), schema
 
 
+def test_triples_empty_buckets_keep_triple_schema(ray_session):
+    """triples() at the default 64 buckets over 20 conversations: its
+    empty buckets emit TRIPLE_SCHEMA like the others, so Ray Data logs
+    no "different schema" warning."""
+    with schema_drift_warnings() as drift:
+        ds = KGPipeline(rd.from_arrow(make_transcripts(20, seed=7))).triples()
+        blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+                  for ref, _ in bundle.blocks]
+        n_rows = len(ds.to_pandas())
+    assert not drift, "\n".join(drift)
+    assert len(blocks) == 64
+    assert any(b.num_rows == 0 for b in blocks)
+    assert n_rows == sum(b.num_rows for b in blocks) > 0
+    assert all(b.schema == TRIPLE_SCHEMA for b in blocks)
+
+
+@pytest.mark.parametrize("cfg", [
+    DEFAULT_CONFIG,
+    replace(DEFAULT_CONFIG, tasks=("ner", "relations", "events")),
+    replace(DEFAULT_CONFIG, tasks=("ner", "relations", "coref")),
+    # reference-mode extraction (the oracle's per-document loop)
+    replace(DEFAULT_CONFIG, entity_beam=False),
+], ids=["default", "no_coref", "no_events", "reference_mode"])
+def test_triples_one_exchange_matches_full_task_lineage(ray_session, monkeypatch, cfg):
+    """triples() runs one conv_id exchange that extracts only relations
+    and builds no lineage; its rows and dtypes equal the local dedup of
+    the lineage's relations, extracted with every task of ``cfg``."""
+    from dygiepp_ray import core
+
+    keys = []
+    real = core._stream_gens
+
+    def spy(blocks, key, *a, **kw):
+        keys.append(key)
+        return real(blocks, key, *a, **kw)
+
+    monkeypatch.setattr(core, "_stream_gens", spy)
+    pipe = KGPipeline(rd.from_arrow(make_transcripts(12, seed=41)), cfg, num_buckets=4)
+    got = pipe.triples().to_pandas()
+    assert keys == ["conv_id"]
+    assert "documents" not in pipe.__dict__
+    want = triples_local_dedup(pipe.relations).to_pandas()
+    assert len(got) > 0
+
+    def canon(df):
+        return df.sort_values(TRIPLE_KEY, ignore_index=True)
+
+    pd.testing.assert_frame_equal(canon(got), canon(want))
+
+
 def test_run_all_without_coref_skips_clusters(ray_session, tmp_path):
     # clusters is None when 'coref' is disabled — run_all must skip the
     # clusters manifest, not crash after triples/entities landed
     # (reader review r3)
-    from dataclasses import replace
-
-    from dygiepp_ray.semantics import DEFAULT_CONFIG
-
     tbl = make_transcripts(8, seed=7)
     cfg = replace(DEFAULT_CONFIG, tasks=("ner", "relations", "events"))
     out = str(tmp_path / "graph_nocoref")
