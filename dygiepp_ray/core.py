@@ -11,8 +11,9 @@ Scale notes (the point of this engine):
   (conversation assembly, canonicalization, triple dedup, connected
   components, sessionization) go through it with an explicit,
   documented key.  Every side of every exchange runs through ONE
-  streaming split loop (``_stream_gens``) and ONE split kernel
-  (``_split``); a fixed bucket count is the loop's one-generation case.
+  streaming split loop (``_stream_gens``), ONE split kernel (``_split``)
+  and ONE merge kernel (``_merge``); a fixed bucket count is the loop's
+  one-generation case.
 * ``stable_bucket`` uses pandas' fixed-key siphash (``pd.util.hash_array``)
   so bucket ids are deterministic across processes and runs — required
   for resumable, idempotent partition output (SURVEY.md §4 checkpoint
@@ -150,16 +151,41 @@ def _iter_split_groups(blocks_iter):
 
 def _concat_tables(parts) -> pa.Table:
     """Concatenate bucket parts, skipping empty ones (their schema may
-    lack columns computed upstream); all-empty keeps the first part."""
+    lack columns computed upstream).  A bucket with no rows is its first
+    part that has columns, column-less when none has (or no parts)."""
     nonempty = [p for p in parts if p.num_rows]
-    base = nonempty if nonempty else list(parts[:1])
-    return pa.concat_tables(base, promote_options="default")
+    if nonempty:
+        return pa.concat_tables(nonempty, promote_options="default")
+    return next((p for p in parts if p.num_columns), pa.table({}))
 
 
 @ray.remote
 def _concat(*parts):
     # inner tree node: pure concatenation, no fn
     return _concat_tables(parts).combine_chunks()
+
+
+@ray.remote
+def _merge(fn, fn_format: str, n_a: int, *parts):
+    """Root merge of one bucket of either exchange: ``fn(*sides)`` as
+    Arrow.  ``n_a < 0`` is one side (all of ``parts``); else the first
+    ``n_a`` parts are side a and the rest side b.  The one empty-bucket
+    rule: when ``fn`` raises, every side has 0 rows and some side has
+    no columns (Ray Data passes empty blocks through UDFs untouched,
+    without their computed columns), the bucket emits 0 rows; anything
+    else re-raises."""
+    sides = [parts] if n_a < 0 else [parts[:n_a], parts[n_a:]]
+    tables = [_concat_tables(side) for side in sides]
+    args = tables if fn_format == "pyarrow" else [t.to_pandas() for t in tables]
+    try:
+        out = fn(*args)
+    except Exception:
+        if all(t.num_rows == 0 for t in tables) and any(t.num_columns == 0 for t in tables):
+            return tables[0]
+        raise
+    if isinstance(out, pd.DataFrame):
+        return pa.Table.from_pandas(out, preserve_index=False)
+    return out
 
 
 @ray.remote
@@ -317,22 +343,6 @@ def _gens_to_buckets(gens: list, num_buckets: int, key: str) -> list:
     return [_tree_reduce(refs) for refs in per_bucket]
 
 
-
-def _empty_like(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """0-row single-block dataset carrying ``ds``'s schema when it is
-    known (column-less otherwise) — the result of an exchange over a
-    dataset that produced zero blocks (previously: ``pa.concat_tables``
-    of no parts raised inside the merge task)."""
-    try:
-        sch = ds.schema(fetch_if_missing=True)
-        arrow = getattr(sch, "base_schema", None)
-        if isinstance(arrow, pa.Schema):
-            return ray.data.from_arrow([arrow.empty_table()])
-    except Exception:
-        pass
-    return ray.data.from_arrow([pa.table({})])
-
-
 def hash_exchange(
     ds: ray.data.Dataset,
     key: str,
@@ -343,11 +353,14 @@ def hash_exchange(
     """Hash-partition ``ds`` on ``key`` and apply ``fn`` once per bucket.
 
     ``fn`` receives ALL rows sharing a bucket (a superset grouping of
-    the logical key) and must do its own per-key vectorized grouping
-    (and must tolerate an empty frame with the input schema): Python
-    overhead is O(num_buckets), not O(n_groups).  Skewed logical keys
-    can be pre-salted by the caller (canonicalization does: salt =
-    hash(doc_key) % S as a sub-key).
+    the logical key) and must do its own per-key vectorized grouping:
+    Python overhead is O(num_buckets), not O(n_groups).  ``fn`` runs on
+    every bucket, empty ones too: an empty bucket has the input schema,
+    or no columns when the input has zero blocks, so a zero-block ``ds``
+    still comes back with ``fn``'s schema.  When ``fn`` raises, only a
+    0-row bucket with no columns emits 0 rows instead (``_merge``).
+    Skewed logical keys can be pre-salted by the caller
+    (canonicalization does: salt = hash(doc_key) % S as a sub-key).
 
     Upstream blocks are split into ``num_buckets`` zero-copy Arrow
     slices as they stream out of the upstream (one split task per
@@ -382,26 +395,9 @@ def hash_exchange(
     block's metadata.
     """
 
-    @ray.remote
-    def merge(*parts):
-        tbl = _concat_tables(parts)
-        inp = tbl if fn_format == "pyarrow" else tbl.to_pandas()
-        try:
-            out = fn(inp)
-        except Exception:
-            if tbl.num_rows == 0:
-                # empty bucket whose schema lost computed columns upstream
-                # (Ray Data skips UDFs on empty blocks) — emit 0 rows
-                return tbl
-            raise
-        if isinstance(out, pd.DataFrame):
-            return pa.Table.from_pandas(out, preserve_index=False)
-        return out
-
     B, gens = _stream_gens(_iter_blocks(ds), key, *_bucket_range(num_buckets))
-    if not gens:
-        return _empty_like(ds)
-    merged = [merge.remote(*refs) for refs in _gens_to_buckets(gens, B, key)]
+    merged = [_merge.remote(fn, fn_format, -1, *refs)
+              for refs in _gens_to_buckets(gens, B, key)]
     return ray.data.from_arrow_refs(merged)
 
 
@@ -438,30 +434,11 @@ def hash_coexchange(
     ``kind`` column, union, filter inside the bucket): each side keeps
     its OWN schema end to end — no cross-side schema promotion, no
     int->float corruption from null-padded columns, no Ray Data
-    schema-mismatch warnings.  Same tree-merge fan-in bound and
-    empty-block tolerance as :func:`hash_exchange`; ``fn`` must still
-    tolerate an empty side whose computed columns are missing (Ray Data
-    passes empty blocks through upstream UDFs untouched)."""
-
-    @ray.remote
-    def merge2(n_a, *parts):
-        ta = _concat_tables(parts[:n_a])
-        tb = _concat_tables(parts[n_a:])
-        try:
-            if fn_format == "pyarrow":
-                out = fn(ta, tb)
-            else:
-                out = fn(ta.to_pandas(), tb.to_pandas())
-        except Exception:
-            if ta.num_rows == 0 and tb.num_rows == 0:
-                # both sides empty with computed columns missing upstream
-                # (Ray Data skips UDFs on empty blocks) — enforce the
-                # empty-tolerance contract centrally like hash_exchange
-                return ta.slice(0, 0)
-            raise
-        if isinstance(out, pd.DataFrame):
-            return pa.Table.from_pandas(out, preserve_index=False)
-        return out
+    schema-mismatch warnings.  Same tree-merge fan-in bound and empty
+    rule as :func:`hash_exchange`: a zero-block side is a column-less
+    empty table in every bucket (``fn`` may still emit rows from the
+    other side alone), and ``fn`` raising is forgiven only when both
+    sides are empty and one has no columns."""
 
     if splits_b is not None and len(splits_b) != num_buckets:
         raise ValueError(
@@ -479,16 +456,8 @@ def hash_coexchange(
         B = max(B, B_b)
         pb_b = _gens_to_buckets(gens_b, B, key_b)
     pb_a = _gens_to_buckets(gens_a, B, key_a)
-    if not any(pb_a) and not any(pb_b):
-        return _empty_like(ds_a)
-    # a zero-block SIDE still participates (fn may emit rows from the
-    # other side alone — e.g. label carry-forward in connected
-    # components): stand in a column-less empty table for it
-    if not all(pb_a) or not all(pb_b):
-        empty = [ray.put(pa.table({}))]
-        pb_a = [refs or empty for refs in pb_a]
-        pb_b = [refs or empty for refs in pb_b]
-    merged = [merge2.remote(len(ra), *ra, *rb) for ra, rb in zip(pb_a, pb_b)]
+    merged = [_merge.remote(fn, fn_format, len(ra), *ra, *rb)
+              for ra, rb in zip(pb_a, pb_b)]
     return ray.data.from_arrow_refs(merged)
 
 

@@ -35,6 +35,20 @@ TRIPLE_SCHEMA = pa.schema(
 )
 
 
+def _project(rel: pd.DataFrame) -> pd.DataFrame:
+    """Relation mention rows -> the triple key columns (entity surfaces
+    lowered) + float32 score, one row per mention."""
+    return pd.DataFrame(
+        {
+            "conv_id": rel["conv_id"],
+            "subj": rel["subj"].str.lower(),
+            "pred": rel["label"],
+            "obj": rel["obj"].str.lower(),
+            "score": rel["softmax"].astype(np.float32),
+        }
+    )
+
+
 def _to_triples(batch: pd.DataFrame) -> pd.DataFrame:
     """Relation mentions -> local triples + combiner dedup.
 
@@ -43,16 +57,7 @@ def _to_triples(batch: pd.DataFrame) -> pd.DataFrame:
     columns + score; the shuffle key is a numeric hash of the triple key
     (bucket placement only — the dedup itself compares real columns, so
     hash collisions cannot merge distinct triples)."""
-    out = pd.DataFrame(
-        {
-            "conv_id": batch["conv_id"],
-            "subj": batch["subj"].str.lower(),
-            "pred": batch["label"],
-            "obj": batch["obj"].str.lower(),
-            "score": batch["softmax"].astype(np.float32),
-        }
-    )
-    out = out.drop_duplicates(TRIPLE_KEY, ignore_index=True)
+    out = _project(batch).drop_duplicates(TRIPLE_KEY, ignore_index=True)
     h = np.uint64(0)
     for c in TRIPLE_KEY:
         h = h * np.uint64(1099511628211) ^ pd.util.hash_array(
@@ -111,13 +116,4 @@ def triples_local_dedup(relations: ray.data.Dataset) -> ray.data.Dataset:
 def conv_local_triples(df: pd.DataFrame) -> pd.DataFrame:
     """Deduped triples of a batch of relation rows that holds each of its
     conversations whole (the ``triples_local_dedup`` invariant)."""
-    out = pd.DataFrame(
-        {
-            "conv_id": df["conv_id"],
-            "subj": df["subj"].str.lower(),
-            "pred": df["label"],
-            "obj": df["obj"].str.lower(),
-            "score": df["softmax"].astype(np.float32),
-        }
-    )
-    return _finalize_ids(out)
+    return _finalize_ids(_project(df))

@@ -234,11 +234,62 @@ def test_ts_epoch_us_tz_aware_matches_naive():
 
 
 def test_hash_exchange_zero_block_input(ray_session):
-    df = pd.DataFrame({"k": ["a"], "v": [1]})
-    empty = rd.from_pandas(df).filter(lambda r: False).materialize()
+    """A Dataset with no blocks is B buckets with no parts: ``fn`` runs
+    on each (a column-less empty table, in either format) and the result
+    has ``fn``'s schema, not the input's."""
+    import pyarrow as pa
 
-    out = hash_exchange(empty, "k", lambda g: g, 4)
-    assert out.count() == 0
+    import dygiepp_ray.core as core
+
+    empty = rd.from_items([])
+    assert not list(core._iter_blocks(empty))  # zero blocks, not one empty one
+
+    def fn(g):
+        return pa.table({"rows": [len(g)], "cols": [len(g.columns)]})
+
+    for fn_format in ("pandas", "pyarrow"):
+        out = hash_exchange(empty, "k", fn, 4, fn_format=fn_format).to_pandas()
+        assert list(out.columns) == ["rows", "cols"]
+        assert len(out) == 4
+        assert (out.to_numpy() == 0).all()
+
+
+def test_hash_coexchange_zero_block_sides(ray_session):
+    """Both sides zero-block: ``fn`` still runs once per bucket, on two
+    column-less empty frames."""
+    from dygiepp_ray.core import hash_coexchange
+
+    def fn(ad, bd):
+        return pd.DataFrame({"a_cols": [len(ad.columns)], "b_cols": [len(bd.columns)],
+                             "rows": [len(ad) + len(bd)]})
+
+    out = hash_coexchange(
+        rd.from_items([]), rd.from_items([]), "id", "id", fn, 4
+    ).to_pandas()
+    assert list(out.columns) == ["a_cols", "b_cols", "rows"]
+    assert len(out) == 4
+    assert (out.to_numpy() == 0).all()
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_typed_empty_bucket_error_raises(ray_session, two_sided):
+    """An exception from ``fn`` on a 0-row bucket that has its columns
+    is a bug in ``fn``: it re-raises instead of emitting 0 rows."""
+    from dygiepp_ray.core import hash_coexchange
+
+    ds = rd.from_pandas(pd.DataFrame({"k": ["same"] * 10, "v": range(10)}))
+
+    def fn(g, *_):
+        if len(g) == 0:
+            assert list(g.columns) == ["k", "v"]  # typed, not column-less
+            raise ValueError("fn failed on a typed empty bucket")
+        return g
+
+    with pytest.raises(ValueError, match="typed empty bucket"):
+        if two_sided:
+            hash_coexchange(ds, ds, "k", "k", fn, 4)
+        else:
+            hash_exchange(ds, "k", fn, 4)
 
 
 def test_hash_coexchange_one_side_zero_blocks(ray_session):
@@ -248,7 +299,7 @@ def test_hash_coexchange_one_side_zero_blocks(ray_session):
 
     a = pd.DataFrame({"id": np.arange(20, dtype=np.int64)})
     live = rd.from_pandas(a).repartition(2)
-    dead = rd.from_pandas(a).filter(lambda r: False).materialize()
+    dead = rd.from_items([])
 
     def fn(ad, bd):
         if len(ad) == 0 or "id" not in ad.columns:
@@ -260,22 +311,34 @@ def test_hash_coexchange_one_side_zero_blocks(ray_session):
 
 
 def test_hash_coexchange_empty_bucket_guard(ray_session):
-    """merge2 enforces the empty-tolerance contract centrally: a fn
-    that blows up on schema-less empty buckets still completes when
-    both sides of that bucket are empty."""
+    """The merge kernel enforces the empty-tolerance contract centrally:
+    a fn that blows up on column-less empty buckets still completes
+    when both sides of that bucket are empty."""
+    import pyarrow as pa
+
+    import ray
+
     from dygiepp_ray.core import hash_coexchange
 
     a = pd.DataFrame({"id": np.int64([7] * 5), "x": range(5)})
-    b = pd.DataFrame({"id": np.int64([7] * 3), "y": range(3)})
+    b = pa.table({"id": np.int64([7] * 3), "y": range(3)})
+    # the b side leads with a column-less empty block (what Ray Data's
+    # map_batches emits for an empty input block), so every bucket
+    # without b rows gets a column-less b side
+    b_side = rd.from_arrow([pa.table({}), b])
 
     def fn(ad, bd):
         # no hand-guard: raises KeyError on empty buckets missing columns
         return ad.merge(bd, on="id")
 
-    out = hash_coexchange(
-        rd.from_pandas(a), rd.from_pandas(b), "id", "id", fn, 16
-    ).to_pandas()
-    assert len(out) == 15
+    out = hash_coexchange(rd.from_pandas(a), b_side, "id", "id", fn, 16)
+    blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks]
+    assert sum(t.num_rows for t in blocks) == 15
+    # fn raised on the 15 empty buckets; each emitted side a's 0 rows
+    empty = [t for t in blocks if t.num_rows == 0]
+    assert len(empty) == 15
+    assert all(t.column_names == ["id", "x"] for t in empty)
 
 
 class _SplitSpy:
@@ -293,6 +356,46 @@ class _SplitSpy:
                 return spy._kernel.options(**kw).remote(key, num_buckets, *rest)
 
         return Launch()
+
+
+class _MergeSpy:
+    """Stands in for ``core._merge``: logs each launch's ``n_a`` and its
+    part count."""
+
+    def __init__(self, kernel, log):
+        self._kernel, self._log = kernel, log
+
+    def remote(self, fn, fn_format, n_a, *parts):
+        self._log.append((n_a, len(parts)))
+        return self._kernel.remote(fn, fn_format, n_a, *parts)
+
+
+@pytest.mark.parametrize("zero_blocks", [False, True])
+def test_one_merge_per_bucket(ray_session, monkeypatch, zero_blocks):
+    """Both exchanges launch exactly one merge kernel per bucket, also
+    over zero blocks (each bucket then has no parts)."""
+    import dygiepp_ray.core as core
+    from dygiepp_ray.core import hash_coexchange
+
+    log = []
+    monkeypatch.setattr(core, "_merge", _MergeSpy(core._merge, log))
+    ds = rd.from_items([]) if zero_blocks else rd.from_pandas(
+        pd.DataFrame({"k": [f"g{i}" for i in range(50)]})).repartition(3)
+
+    def first(g, *_):
+        return g
+
+    hash_exchange(ds, "k", first, 8)
+    assert [n_a for n_a, _ in log] == [-1] * 8
+    assert all(n_parts == 0 for _, n_parts in log) == zero_blocks
+    log.clear()
+    hash_coexchange(ds, ds, "k", "k", first, 8)
+    assert len(log) == 8
+    assert all(n_parts == 0 if zero_blocks else 0 < n_a < n_parts
+               for n_a, n_parts in log)
+    log.clear()
+    hash_exchange(ds, "k", first)  # auto: the start count
+    assert len(log) == core._bucket_range(None)[0]
 
 
 def test_auto_exchange_streams_splits(ray_session, monkeypatch):

@@ -129,6 +129,18 @@ def test_triples_empty_buckets_keep_triple_schema(ray_session):
     assert all(b.schema == TRIPLE_SCHEMA for b in blocks)
 
 
+def test_triples_zero_block_input_keeps_triple_schema(ray_session):
+    """Transcripts with no blocks still run triples()'s bucket body, so
+    every block is an empty TRIPLE_SCHEMA table, not the transcripts'
+    schema."""
+    src = rd.from_arrow(make_transcripts(20, seed=7)).limit(0)
+    ds = KGPipeline(src, num_buckets=4).triples()
+    blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks]
+    assert len(blocks) == 4
+    assert all(b.num_rows == 0 and b.schema == TRIPLE_SCHEMA for b in blocks)
+
+
 @pytest.mark.parametrize("cfg", [
     DEFAULT_CONFIG,
     replace(DEFAULT_CONFIG, tasks=("ner", "relations", "events")),

@@ -14,11 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray.data as rd
 
-from dygiepp_ray.core import stable_bucket
+from dygiepp_ray.core import hash_exchange, stable_bucket
 from dygiepp_ray.pipelines import kg
 from dygiepp_ray.pipelines.kg import KGPipeline
 from dygiepp_ray.semantics import DEFAULT_CONFIG
@@ -302,6 +303,44 @@ def test_exchange_counts(ray_session, tmp_path, monkeypatch):
     save_kg_store(C.read_partitioned(tdir).select_columns(TRIPLE_KEY),
                   str(tmp_path / "store"), num_buckets=4)
     assert keys == ["subj"]
+
+
+def test_retried_bucket_leaves_store_unchanged(ray_session, tmp_path):
+    """A bucket task whose worker dies right after ``write_part`` is run
+    again by Ray's default task retry, and the partition it rewrites
+    equals a clean write: ``_MANIFEST.json`` with its ``parts``, and
+    every part's rows and fingerprint.  One worker is killed, once."""
+    df = pd.DataFrame({"conv_id": [f"c{i % 10}" for i in range(100)], "v": range(100)})
+    flag = str(tmp_path / "killed")
+
+    def write(out_dir: str, kill: bool) -> dict:
+        # the calls _run_all_direct makes for its fused triples write
+        done = C.prepare_table(out_dir, "conv_id", NP)
+
+        def bucket(rows: pd.DataFrame) -> pa.Table:
+            C.write_part(rows, out_dir, "conv_id", NP, done)
+            if kill and len(rows):
+                try:  # O_EXCL: only the first writer to get here dies
+                    os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return pa.table({})
+
+        hash_exchange(rd.from_pandas(df), "conv_id", bucket, num_buckets=NP)
+        C.finish_table(out_dir, "conv_id", NP, done)
+        with open(os.path.join(out_dir, "_MANIFEST.json")) as f:
+            return json.load(f)
+
+    clean_dir, retried_dir = str(tmp_path / "clean"), str(tmp_path / "retried")
+    clean = write(clean_dir, kill=False)
+    assert clean["parts"] == list(range(NP))
+    retried = write(retried_dir, kill=True)
+    assert os.path.exists(flag)  # a worker did die mid-exchange
+    assert retried == clean
+    assert _content(retried_dir) == _content(clean_dir)
+    assert not [d for d in os.listdir(retried_dir) if d.endswith(".tmp")]
 
 
 @pytest.fixture()
