@@ -198,15 +198,19 @@ def _split(key: str, num_buckets: int, stride: int, offset: int, *blocks):
     re-splits old bucket ``b_old`` of a coarser generation into its
     ``num_buckets // B_old`` final buckets: bucket counts only ever
     double, so ``h % B_old == (h % num_buckets) % B_old`` and every row
-    of ``b_old`` lands in a final bucket ``b_old + i * B_old``."""
+    of ``b_old`` lands in a final bucket ``b_old + i * B_old``.  An
+    output without rows is the empty slice of the first block that has
+    ``key``, column-less when no block has it."""
     fan = num_buckets // stride
     parts: list[list] = [[] for _ in range(fan)]
-    fallback = None
+    fallback = pa.table({})
     for block in blocks:
         tbl = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-        if fallback is None:
+        if key not in tbl.schema.names:
+            continue
+        if fallback.num_columns == 0:
             fallback = tbl.slice(0, 0)
-        if key not in tbl.schema.names or tbl.num_rows == 0:
+        if tbl.num_rows == 0:
             continue
         col = tbl[key].to_pandas().to_numpy()
         sub = (stable_bucket(col, num_buckets) - offset) // stride

@@ -22,7 +22,6 @@ import os
 from dataclasses import replace as _cfg_replace
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
@@ -295,10 +294,10 @@ def _narrow(cfg: ExtractionConfig, needed: set[str]) -> ExtractionConfig:
     return _cfg_replace(cfg, tasks=tuple(t for t in cfg.tasks if t in needed))
 
 
-def _local_triples(pred: pa.Table) -> pd.DataFrame:
+def _local_triples(pred: pa.Table) -> pa.Table:
     """Deduped triples of extracted documents that hold each of their
     conversations whole."""
-    return conv_local_triples(explode.explode_block(pred, "relations").to_pandas())
+    return conv_local_triples(explode.explode_block(pred, "relations"))
 
 
 def _triples_bucket(tbl: pa.Table, cfg: ExtractionConfig) -> pa.Table:
@@ -307,10 +306,7 @@ def _triples_bucket(tbl: pa.Table, cfg: ExtractionConfig) -> pa.Table:
     docs = assemble_bucket(tbl, cfg)
     if docs.num_rows == 0:
         return TRIPLE_SCHEMA.empty_table()
-    return pa.Table.from_pandas(
-        _local_triples(batch_extractor(cfg)(docs)), schema=TRIPLE_SCHEMA,
-        preserve_index=False,
-    )
+    return _local_triples(batch_extractor(cfg)(docs))
 
 
 def _graph_bucket(

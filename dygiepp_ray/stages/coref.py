@@ -9,7 +9,7 @@ flagship config (``max_antecedents`` >= the per-window mention bound +
 exact-surface antecedent scorer) those chains reduce to same-surface-
 within-document groups over the mention sequence in span-enumeration
 order — exactly what ``ExtractStage._clusters`` computes from its
-in-batch mention frame.
+in-batch mention columns.
 
 This stage computes the SAME reduction from the uncollated mentions
 table with ONE doc_key exchange, replacing the second full extraction
@@ -31,30 +31,30 @@ from ..core import hash_exchange
 _OUT_COLS = ["doc_key", "conv_id", "cluster_ix", "start", "end", "surface"]
 
 
-def same_surface_reduction(m: pd.DataFrame, doc_col: str) -> pd.DataFrame:
+def same_surface_clusters(doc: np.ndarray, surf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The single home of the cluster decode convention shared by the
-    in-extraction path (``ExtractStage._clusters``, ``doc_col='doc_ix'``)
-    and the mention-derived path (``clusters_from_mentions``,
-    ``doc_col='doc_key'``): groups of >= 2 same-surface mentions per
-    document become clusters, ``cluster_ix`` ordered by first-mention
-    appearance.  ``m`` must already be in span-enumeration order
-    (``dygie.py:121-126``); callers own that sort."""
-    m = m.reset_index(drop=True)
-    m["__ord"] = np.arange(len(m))
-    sizes = m.groupby([doc_col, "surface"], sort=False)["__ord"].transform("size")
-    cl = m.loc[sizes >= 2].copy()
-    if len(cl) == 0:
-        return pd.DataFrame(
-            columns=[doc_col, "cluster_ix", "start", "end", "surface"]
-        )
-    cl["__first"] = cl.groupby([doc_col, "surface"], sort=False)[
-        "__ord"
-    ].transform("min")
-    cl = cl.sort_values([doc_col, "__first", "__ord"], kind="stable")
-    uniq = cl[[doc_col, "__first"]].drop_duplicates()
-    uniq["cluster_ix"] = uniq.groupby(doc_col).cumcount()
-    cl = cl.merge(uniq, on=[doc_col, "__first"], how="left")
-    return cl[[doc_col, "cluster_ix", "start", "end", "surface"]]
+    in-extraction path (``ExtractStage._clusters``) and the
+    mention-derived path (``clusters_from_mentions``): groups of >= 2
+    same-surface mentions per document become clusters, ``cluster_ix``
+    ordered by first-mention appearance.  ``doc`` and ``surf`` are int
+    codes per mention, in span-enumeration order (``dygie.py:121-126``)
+    with each document's mentions contiguous and documents ascending;
+    callers own that sort.  Returns the member rows cluster by cluster
+    (members in mention order) and each member's ``cluster_ix``."""
+    if len(doc) == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    key = doc.astype(np.int64) * (int(surf.max()) + 1) + surf
+    _, first, inv, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    rows = np.flatnonzero(counts[inv] >= 2)
+    f = first[inv[rows]]
+    order = np.lexsort((rows, f))
+    rows, f = rows[order], f[order]
+    new = np.diff(f, prepend=-1) != 0
+    cdoc = doc[f[new]]                      # ascending: clusters follow first mentions
+    cix = np.arange(len(cdoc)) - np.searchsorted(cdoc, cdoc)
+    return rows, cix[np.cumsum(new) - 1]
 
 
 def _empty_clusters() -> pd.DataFrame:
@@ -93,12 +93,12 @@ def clusters_from_mentions(
             ["doc_key", "sent_ix", "start", "end"], kind="stable",
             ignore_index=True,
         )
-        cl = same_surface_reduction(m, "doc_key")
-        if len(cl) == 0:
+        rows, cix = same_surface_clusters(
+            pd.factorize(m["doc_key"])[0], pd.factorize(m["surface"])[0]
+        )
+        if len(rows) == 0:
             return _empty_clusters()
-        # conv_id rides along: doc_key -> conv_id is functional
-        conv = m.drop_duplicates("doc_key")[["doc_key", "conv_id"]]
-        out = cl.merge(conv, on="doc_key", how="left")[_OUT_COLS]
+        out = m.iloc[rows].assign(cluster_ix=cix)[_OUT_COLS]
         return out.reset_index(drop=True).astype(
             {"cluster_ix": np.int32, "start": np.int32, "end": np.int32}
         )

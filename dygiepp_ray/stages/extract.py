@@ -1,13 +1,14 @@
 """Joint extraction stage (SURVEY.md §2.2 M2, §2.3 T3/T5/T6/T7, T10/F6).
 
 ``documents -> documents + predicted annotations`` as ONE vectorized
-``map_batches`` over Arrow doc rows.  Per batch the whole token stream is
-flattened into numpy arrays once (the row<->columnar pivot the reference
-does per-document in ``fields_to_batches``,
-``dygie/models/shared.py:28-68``); every scorer below is an Arrow/numpy
-kernel over those arrays, and results are regrouped into per-document
-list<struct> columns via offset arithmetic — no per-row Python in the
-hot path.
+``map_batches`` over Arrow doc rows.  Per batch the token stream is
+flattened and dictionary-encoded once (the row<->columnar pivot the
+reference does per-document in ``fields_to_batches``,
+``dygie/models/shared.py:28-68``): lexicon and predicate membership is
+tested per vocabulary entry and read by int code, and every scorer below
+is a numpy kernel (``np.searchsorted`` matches and joins) whose columns
+are regrouped into per-document list<struct> columns by offset
+arithmetic — no pandas and no per-row Python in the hot path.
 
 Semantics (shared with the oracle via ``semantics.py``):
 
@@ -29,8 +30,8 @@ Semantics (shared with the oracle via ``semantics.py``):
   (``events.py:115-314``), args sorted by start (``events.py:394``).
 * Coref: with ``max_antecedents`` >= the per-window mention bound
   (flagship config), exact-surface antecedent chains reduce to
-  same-surface-within-window clusters — computed as a vectorized
-  groupby.  A reference-control-flow fallback
+  same-surface-within-window clusters (``coref.same_surface_clusters``,
+  numpy).  A reference-control-flow fallback
   (``reference_mode=True``) runs the oracle's per-document loop for
   small/parity workloads (top-k pruning O1/O2 and antecedent caps O4).
 """
@@ -134,6 +135,13 @@ def _doc_list_column(
     return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), struct_arr)
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with ``lo[i] <= j < hi[i]``, by i then j."""
+    cnt = hi - lo
+    i = np.repeat(np.arange(len(lo)), cnt)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+
+
 class ExtractStage:
     """Actor-pool callable: lexicon index + compiled constants built once
     per actor (__init__), vectorized extraction per batch (__call__).
@@ -143,19 +151,25 @@ class ExtractStage:
 
     def __init__(self, cfg: ExtractionConfig = DEFAULT_CONFIG):
         self.cfg = cfg
-        widths = [w for w in S.LEXICON_WIDTHS if w <= cfg.max_span_width]
-        self.lex_by_width = {
-            w: pd.Index([s for s in S.ENTITY_LEXICON if s.count(" ") + 1 == w])
-            for w in widths
-        }
-        # prefix filter for multi-token phrase matching
-        self.first_words = {
-            w: pd.Index({s.split(" ", 1)[0] for s in idx})
-            for w, idx in self.lex_by_width.items()
-            if w > 1
-        }
-        self.label_map = {s: lab for s, lab in S.ENTITY_LEXICON.items()}
-        self.pred_index = pd.Index(S.PRED_WORDS)
+        entries = sorted(s for s in S.ENTITY_LEXICON if s.count(" ") < cfg.max_span_width)
+        words = sorted({w for s in entries for w in s.split(" ")})
+        # a span matches an entry of its width iff its lexicon word ids,
+        # packed base len(words), equal the entry's
+        self.base = max(1, len(words))
+        packed: dict[int, list] = {}
+        for e, s in enumerate(entries):
+            ids = [words.index(w) for w in s.split(" ")]
+            if self.base ** len(ids) >= 2**63:
+                raise ValueError(f"lexicon entry {s!r} too wide for int64 span keys")
+            key = sum(i * self.base ** (len(ids) - 1 - k) for k, i in enumerate(ids))
+            packed.setdefault(len(ids), []).append((key, e))
+        # width -> (sorted packed keys, their entry indices)
+        self.lex_keys = {w: tuple(np.array(c) for c in zip(*sorted(pairs)))
+                         for w, pairs in packed.items()}
+        self.lex_words = pa.array(words, pa.string())
+        self.surfaces = pa.array(entries, pa.string())
+        self.labels = pa.array([S.ENTITY_LEXICON[s] for s in entries], pa.string())
+        self.preds = pa.array(S.PRED_WORDS, pa.string())
         self.ner_raw, self.ner_soft = _const_scores(len(cfg.labels))
         self.rel_raw, self.rel_soft = _const_scores(len(cfg.preds))
         self.trig_raw, self.trig_soft = _const_scores(len(cfg.preds))
@@ -163,7 +177,11 @@ class ExtractStage:
 
     # -- flattening ---------------------------------------------------------
 
-    def _flatten(self, tbl: pa.Table):
+    def _flatten(self, tbl: pa.Table) -> dict:
+        """The batch's token stream as dictionary codes over its
+        vocabulary, plus the offsets that place a global token position
+        in its document and sentence.  Lexicon and predicate membership
+        is tested once per vocabulary entry and read by code."""
         sents = tbl["sentences"]
         if isinstance(sents, pa.ChunkedArray):
             sents = sents.combine_chunks()
@@ -172,155 +190,124 @@ class ExtractStage:
         inner = sents.flatten()                             # list<string> per sentence
         inner_off = np.asarray(inner.offsets)               # sentences -> tokens
         inner_off = inner_off - inner_off[0]
-        tokens = np.asarray(inner.flatten().to_pandas(), dtype=object)
-        n_docs = len(sents)
-        n_sents = len(inner)
-        n_toks = len(tokens)
-        sent_of_tok = np.repeat(
-            np.arange(n_sents), np.diff(inner_off)
-        ) if n_sents else np.empty(0, np.int64)
-        doc_of_sent = np.repeat(
-            np.arange(n_docs), np.diff(outer_off)
-        ) if n_docs else np.empty(0, np.int64)
-        doc_tok_off = inner_off[outer_off]                  # docs -> token offsets
-        doc_of_tok = doc_of_sent[sent_of_tok] if n_toks else np.empty(0, np.int64)
-        pos_in_doc = np.arange(n_toks) - doc_tok_off[doc_of_tok] if n_toks else np.empty(0, np.int64)
-        sent_ix_in_doc = (
-            np.arange(n_sents) - outer_off[doc_of_sent] if n_sents else np.empty(0, np.int64)
-        )
+        enc = pc.dictionary_encode(inner.flatten())
+        codes = np.asarray(enc.indices, dtype=np.int64)
+        vocab = enc.dictionary
+
+        def ids_in(value_set: pa.Array) -> np.ndarray:
+            # per token: index of its vocabulary entry in value_set, -1 if absent
+            ix = pc.fill_null(pc.index_in(vocab, value_set=value_set), -1)
+            return np.asarray(ix, dtype=np.int64)[codes]
+
         return dict(
-            tokens=tokens, n_docs=n_docs, sent_of_tok=sent_of_tok,
-            doc_of_tok=doc_of_tok, pos_in_doc=pos_in_doc,
-            sent_ix_in_doc=sent_ix_in_doc, doc_tok_off=doc_tok_off,
+            codes=codes, vocab=vocab,
+            word_id=ids_in(self.lex_words), pred_id=ids_in(self.preds),
+            sent_of_tok=np.repeat(np.arange(len(inner)), np.diff(inner_off)),
+            doc_of_sent=np.repeat(np.arange(len(sents)), np.diff(outer_off)),
+            doc_sent_off=outer_off, doc_tok_off=inner_off[outer_off],
         )
+
+    @staticmethod
+    def _place(fl: dict, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(doc_ix, sent_ix in doc, position in doc) of global token positions."""
+        s = fl["sent_of_tok"][g]
+        d = fl["doc_of_sent"][s]
+        return d, s - fl["doc_sent_off"][d], g - fl["doc_tok_off"][d]
 
     # -- mention detection (M2 + T3 + beam prune + decode) ------------------
 
-    def _mentions(self, fl) -> pd.DataFrame:
-        tokens, sent_of_tok = fl["tokens"], fl["sent_of_tok"]
-        doc_of_tok, pos_in_doc = fl["doc_of_tok"], fl["pos_in_doc"]
-        parts = []
-        tok_series = pd.Series(tokens, dtype=object)
-        for w, lex in self.lex_by_width.items():
-            if len(tokens) < w:
+    def _mentions(self, fl: dict) -> dict:
+        """Lexicon spans as columns: global start ``g`` and end ``e``
+        (inclusive) and lexicon entry ``ent``, in span-enumeration order
+        (doc, sentence, start, end) — ``dygie.py:121-126``."""
+        wid, sent = fl["word_id"], fl["sent_of_tok"]
+        n = len(wid)
+        starts, ends, ents = ([np.empty(0, np.int64)] for _ in range(3))
+        for w, (keys, lex_ents) in self.lex_keys.items():
+            if n < w:
                 continue
-            if w == 1:
-                mask = tok_series.isin(lex).to_numpy()
-                starts = np.flatnonzero(mask)
-                surf = tokens[starts]
-            else:
-                head_mask = tok_series.isin(self.first_words[w]).to_numpy()
-                head_mask[len(tokens) - w + 1 :] = False
-                cand = np.flatnonzero(head_mask)
-                # same-sentence constraint
-                cand = cand[sent_of_tok[cand] == sent_of_tok[cand + w - 1]]
-                if len(cand) == 0:
-                    continue
-                surf = tokens[cand].copy()
-                for k in range(1, w):
-                    surf = surf + " "
-                    surf = surf + tokens[cand + k]
-                hit = pd.Series(surf, dtype=object).isin(lex).to_numpy()
-                starts, surf = cand[hit], surf[hit]
-            if len(starts) == 0:
-                continue
-            parts.append(
-                pd.DataFrame(
-                    {
-                        "doc_ix": doc_of_tok[starts],
-                        "sent_ix": fl["sent_ix_in_doc"][sent_of_tok[starts]],
-                        "start": pos_in_doc[starts],
-                        "end": pos_in_doc[starts] + w - 1,
-                        "surface": surf,
-                    }
-                )
-            )
-        if not parts:
-            return pd.DataFrame(
-                columns=["doc_ix", "sent_ix", "start", "end", "surface", "label"]
-            ).astype({"doc_ix": np.int64, "sent_ix": np.int64, "start": np.int64, "end": np.int64})
-        m = pd.concat(parts, ignore_index=True)
-        # span-enumeration order: (doc, sentence, start, end) — dygie.py:121-126
-        m = m.sort_values(["doc_ix", "sent_ix", "start", "end"], kind="stable", ignore_index=True)
-        m["label"] = m["surface"].map(self.label_map)
-        return m
+            m = n - w + 1
+            key = wid[:m].copy()
+            ok = key >= 0
+            for k in range(1, w):
+                ok &= wid[k : k + m] >= 0
+                key = key * self.base + wid[k : k + m]
+            ok &= sent[:m] == sent[w - 1 :]      # same-sentence constraint
+            cand = np.flatnonzero(ok)
+            pos = np.minimum(np.searchsorted(keys, key[cand]), len(keys) - 1)
+            hit = keys[pos] == key[cand]
+            starts.append(cand[hit])
+            ends.append(cand[hit] + (w - 1))
+            ents.append(lex_ents[pos[hit]])
+        g, e = np.concatenate(starts), np.concatenate(ends)
+        order = np.lexsort((e, g))
+        return dict(g=g[order], e=e[order], ent=np.concatenate(ents)[order])
+
+    def _span_cols(self, fl: dict, g: np.ndarray, e: np.ndarray, names=("start", "end")) -> dict:
+        d, si, pos = self._place(fl, g)
+        return {"doc_ix": d, "sent_ix": si, names[0]: pos, names[1]: pos + (e - g)}
 
     # -- relations (T5 + decode) -------------------------------------------
 
-    def _relations(self, fl, m: pd.DataFrame) -> pd.DataFrame:
-        if len(m) == 0:
-            return pd.DataFrame(
-                columns=["doc_ix", "sent_ix", "s1", "e1", "s2", "e2", "label", "subj", "obj"]
-            )
-        subj = m[["doc_ix", "sent_ix", "start", "end", "surface"]].rename(
-            columns={"start": "s1", "end": "e1", "surface": "subj"}
-        )
-        subj["obj_start"] = subj["e1"] + 2
-        obj = m[["doc_ix", "sent_ix", "start", "end", "surface"]].rename(
-            columns={"start": "obj_start", "end": "e2", "surface": "obj"}
-        )
-        pairs = subj.merge(obj, on=["doc_ix", "sent_ix", "obj_start"], how="inner")
-        if len(pairs) == 0:
-            return pd.DataFrame(
-                columns=["doc_ix", "sent_ix", "s1", "e1", "s2", "e2", "label", "subj", "obj"]
-            )
-        pairs = pairs.rename(columns={"obj_start": "s2"})
-        between_glob = fl["doc_tok_off"][pairs["doc_ix"].to_numpy()] + pairs["e1"].to_numpy() + 1
-        between = fl["tokens"][between_glob]
-        keep = pd.Series(between, dtype=object).isin(self.pred_index).to_numpy()
-        pairs = pairs.loc[keep].reset_index(drop=True)
-        pairs["label"] = between[keep]
-        pairs = pairs.sort_values(
-            ["doc_ix", "sent_ix", "s1", "e1", "s2", "e2"], kind="stable", ignore_index=True
-        )
-        return pairs[["doc_ix", "sent_ix", "s1", "e1", "s2", "e2", "label", "subj", "obj"]]
+    def _relations(self, fl: dict, m: dict) -> dict:
+        """Ordered mention pairs in one sentence whose object starts two
+        tokens after the subject ends, with a predicate between."""
+        g, e = m["g"], m["e"]
+        # object candidates: every mention starting at subject end + 2
+        # (several mentions can share a start)
+        subj, obj = _ranges(np.searchsorted(g, e + 2, "left"), np.searchsorted(g, e + 2, "right"))
+        sent = fl["sent_of_tok"]
+        pred = fl["pred_id"][e[subj] + 1]
+        keep = (sent[g[subj]] == sent[g[obj]]) & (pred >= 0)
+        subj, obj, pred = subj[keep], obj[keep], pred[keep]
+        return {  # subject and object share doc_ix and sent_ix
+            **self._span_cols(fl, g[obj], e[obj], ("s2", "e2")),
+            **self._span_cols(fl, g[subj], e[subj], ("s1", "e1")), "label": self.preds.take(pred),
+            "subj": self.surfaces.take(m["ent"][subj]), "obj": self.surfaces.take(m["ent"][obj]),
+        }
 
     # -- events (T7 + decode) ----------------------------------------------
 
-    def _events(self, fl, m: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
-        tokens = fl["tokens"]
-        tmask = pd.Series(tokens, dtype=object).isin(self.pred_index).to_numpy()
-        tpos = np.flatnonzero(tmask)
-        trig = pd.DataFrame(
-            {
-                "doc_ix": fl["doc_of_tok"][tpos],
-                "sent_ix": fl["sent_ix_in_doc"][fl["sent_of_tok"][tpos]],
-                "tok": fl["pos_in_doc"][tpos],
-                "label": tokens[tpos],
-            }
+    def _events(self, fl: dict, m: dict) -> tuple[dict, dict]:
+        """Triggers are predicate tokens; a trigger's arguments are the
+        mentions of its sentence ending at most ARG_MAX_DIST tokens
+        before it (AGENT) or starting at most that far after (PATIENT),
+        by start within the trigger (``events.py:394``)."""
+        tpos = np.flatnonzero(fl["pred_id"] >= 0)
+        d, si, tok = self._place(fl, tpos)
+        label = self.preds.take(fl["pred_id"][tpos])
+        trig = dict(doc_ix=d, sent_ix=si, tok=tok, label=label)
+        g, e = m["g"], m["e"]
+        # candidate mentions start within [t - ARG_MAX_DIST - width + 1, t + ARG_MAX_DIST]
+        widest = int((e - g).max()) if len(g) else 0
+        t, j = _ranges(np.searchsorted(g, tpos - S.ARG_MAX_DIST - widest, "left"),
+                       np.searchsorted(g, tpos + S.ARG_MAX_DIST, "right"))
+        tp = tpos[t]
+        before = (e[j] < tp) & (tp - e[j] <= S.ARG_MAX_DIST)
+        after = (g[j] > tp) & (g[j] - tp <= S.ARG_MAX_DIST)
+        sent = fl["sent_of_tok"]
+        keep = (before | after) & (sent[g[j]] == sent[tp])
+        t, j, before = t[keep], j[keep], before[keep]
+        args = self._span_cols(fl, g[j], e[j])
+        args.update(
+            trig_tok=tok[t], event_type=label.take(t),
+            role=pa.array(S.ARG_ROLES, pa.string()).take(np.where(before, 0, 1)),
+            surface=self.surfaces.take(m["ent"][j]),
         )
-        if len(trig) == 0 or len(m) == 0:
-            args = pd.DataFrame(
-                columns=["doc_ix", "sent_ix", "trig_tok", "event_type", "start", "end", "role", "surface"]
-            )
-            return trig, args
-        j = trig.rename(columns={"tok": "trig_tok", "label": "event_type"}).merge(
-            m[["doc_ix", "sent_ix", "start", "end", "surface"]],
-            on=["doc_ix", "sent_ix"], how="inner",
-        )
-        before = j["end"] < j["trig_tok"]
-        after = j["start"] > j["trig_tok"]
-        dist_ok = (before & (j["trig_tok"] - j["end"] <= S.ARG_MAX_DIST)) | (
-            after & (j["start"] - j["trig_tok"] <= S.ARG_MAX_DIST)
-        )
-        j = j.loc[dist_ok].copy()
-        j["role"] = np.where(j["end"] < j["trig_tok"], S.ARG_ROLES[0], S.ARG_ROLES[1])
-        j = j.sort_values(
-            ["doc_ix", "sent_ix", "trig_tok", "event_type", "start"],
-            kind="stable", ignore_index=True,
-        )  # args sorted by start within trigger (events.py:394)
-        return trig, j
+        return trig, args
 
     # -- coref clusters (T6, flagship vectorized reduction) -----------------
 
-    def _clusters(self, m: pd.DataFrame) -> pd.DataFrame:
+    def _clusters(self, fl: dict, m: dict) -> dict:
         # shared decode convention with the mention-derived collated
-        # path — one implementation, two group keys (stages/coref.py)
-        from .coref import same_surface_reduction
+        # path — one implementation (stages/coref.py)
+        from .coref import same_surface_clusters
 
-        if len(m) == 0:
-            return pd.DataFrame(columns=["doc_ix", "cluster_ix", "start", "end", "surface"])
-        return same_surface_reduction(m, "doc_ix")
+        doc = self._place(fl, m["g"])[0]
+        rows, cix = same_surface_clusters(doc, m["ent"])
+        out = self._span_cols(fl, m["g"][rows], m["e"][rows])
+        out.update(cluster_ix=cix, surface=self.surfaces.take(m["ent"][rows]))
+        return out
 
     # -- batch entry --------------------------------------------------------
 
@@ -330,55 +317,45 @@ class ExtractStage:
         fl = self._flatten(tbl)
         m = self._mentions(fl)
 
-        def struct(df: pd.DataFrame, typ: pa.StructType, consts: dict) -> pa.StructArray:
-            arrays, names = [], []
-            for f in typ:
-                names.append(f.name)
-                if f.name in consts:
-                    arrays.append(pa.array(np.full(len(df), consts[f.name]), f.type))
-                else:
-                    arrays.append(pa.array(df[f.name].to_numpy(), f.type))
-            return pa.StructArray.from_arrays(arrays, names)
+        def column(cols: dict, typ: pa.StructType, consts: dict) -> pa.ListArray:
+            # struct rows (sorted by doc_ix) grouped into one list per document
+            n = len(cols["doc_ix"])
+            arrays = [
+                pa.repeat(pa.scalar(consts[f.name], f.type), n) if f.name in consts
+                else pa.array(cols[f.name], f.type)
+                for f in typ
+            ]
+            return _doc_list_column(
+                cols["doc_ix"], n_docs,
+                pa.StructArray.from_arrays(arrays, [f.name for f in typ]),
+            )
 
         out = tbl
         if "ner" in tasks:
+            ner = self._span_cols(fl, m["g"], m["e"])
+            ner.update(label=self.labels.take(m["ent"]), surface=self.surfaces.take(m["ent"]))
             out = out.append_column(
-                "ner",
-                _doc_list_column(
-                    m["doc_ix"].to_numpy(), n_docs,
-                    struct(m, MENTION_T, {"raw": self.ner_raw, "softmax": self.ner_soft}),
-                ),
+                "ner", column(ner, MENTION_T, {"raw": self.ner_raw, "softmax": self.ner_soft})
             )
         if "relations" in tasks:
-            rels = self._relations(fl, m)
             out = out.append_column(
                 "relations",
-                _doc_list_column(
-                    rels["doc_ix"].to_numpy(), n_docs,
-                    struct(rels, RELATION_T, {"raw": self.rel_raw, "softmax": self.rel_soft}),
-                ),
+                column(self._relations(fl, m), RELATION_T,
+                       {"raw": self.rel_raw, "softmax": self.rel_soft}),
             )
         if "events" in tasks:
             trig, args = self._events(fl, m)
             out = out.append_column(
                 "triggers",
-                _doc_list_column(
-                    trig["doc_ix"].to_numpy(), n_docs,
-                    struct(trig, TRIGGER_T, {"raw": self.trig_raw, "softmax": self.trig_soft}),
-                ),
+                column(trig, TRIGGER_T, {"raw": self.trig_raw, "softmax": self.trig_soft}),
             )
             out = out.append_column(
                 "event_args",
-                _doc_list_column(
-                    args["doc_ix"].to_numpy(), n_docs,
-                    struct(args, ARGUMENT_T, {"raw": self.arg_raw, "softmax": self.arg_soft}),
-                ),
+                column(args, ARGUMENT_T, {"raw": self.arg_raw, "softmax": self.arg_soft}),
             )
         if "coref" in tasks:
-            cl = self._clusters(m)
             out = out.append_column(
-                "cluster_members",
-                _doc_list_column(cl["doc_ix"].to_numpy(), n_docs, struct(cl, CLUSTER_MEMBER_T, {})),
+                "cluster_members", column(self._clusters(fl, m), CLUSTER_MEMBER_T, {})
             )
         return out
 
@@ -412,14 +389,15 @@ class EncoderExtractStage(ExtractStage):
         self.embedding_table = rs.normal(size=(vocab_hash, embed_dim)).astype(np.float32)
         self.projection = rs.normal(size=(embed_dim, embed_dim)).astype(np.float32)
 
-    def _flatten(self, tbl: pa.Table):
+    def _flatten(self, tbl: pa.Table) -> dict:
         fl = super()._flatten(tbl)
-        if len(fl["tokens"]):
-            idx = (
-                pd.util.hash_array(fl["tokens"], categorize=False)
+        if len(fl["codes"]):
+            # hash each vocabulary entry once, then take by token code
+            rows = (
+                pd.util.hash_array(fl["vocab"].to_numpy(zero_copy_only=False), categorize=False)
                 % np.uint64(len(self.embedding_table))
             ).astype(np.int64)
-            fl["embeddings"] = self.embedding_table[idx] @ self.projection
+            fl["embeddings"] = self.embedding_table[rows[fl["codes"]]] @ self.projection
         return fl
 
 

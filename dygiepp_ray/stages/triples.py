@@ -3,10 +3,14 @@
 ``relations -> triples``: each decoded relation mention becomes a
 ``(conv_id, subj, pred, obj)`` triple with content-addressed entity ids
 (``semantics.entity_id`` — no join against the entities table needed).
-Exact dedup is two-phase: a vectorized batch-local ``drop_duplicates``
-(combiner) shrinks the stream before the one hash shuffle on the triple
-key (``groupby(subj,pred,obj).first`` semantics, reference analogue: the
-dict-keyed ``relation_dict``, ``document.py:316-320``).
+Arrow in, Arrow out: surfaces are lowered with ``pc.utf8_lower``, the
+dedup keeps the first row of each key packed from dictionary codes
+(reference analogue: the dict-keyed ``relation_dict``,
+``document.py:316-320``), and ``entity_id`` runs once per unique
+surface.  A conv-complete batch dedups in place
+(``conv_local_triples``); the general path dedups batch-locally
+(combiner) and then once more per bucket of one hash shuffle on the
+triple key.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -33,23 +38,37 @@ TRIPLE_SCHEMA = pa.schema(
         ("score", pa.float32()),
     ]
 )
+_KEYED_SCHEMA = pa.schema([TRIPLE_SCHEMA.field(c) for c in TRIPLE_KEY + ["score"]])
 
 
-def _project(rel: pd.DataFrame) -> pd.DataFrame:
+def _dedup(tbl: pa.Table) -> pa.Table:
+    """The first row of each distinct triple key, in input order."""
+    key, card = np.zeros(tbl.num_rows, np.int64), 1
+    for c in TRIPLE_KEY:
+        enc = pc.dictionary_encode(tbl[c].combine_chunks(), null_encoding="encode")
+        n = len(enc.dictionary)
+        if card * n >= 2**62:   # re-densify before the packed key overflows
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+            card = int(key.max()) + 1
+        key, card = key * n + np.asarray(enc.indices, np.int64), card * n
+    return tbl.take(np.sort(np.unique(key, return_index=True)[1]))
+
+
+def _project(rel: pa.Table) -> pa.Table:
     """Relation mention rows -> the triple key columns (entity surfaces
     lowered) + float32 score, one row per mention."""
-    return pd.DataFrame(
-        {
-            "conv_id": rel["conv_id"],
-            "subj": rel["subj"].str.lower(),
-            "pred": rel["label"],
-            "obj": rel["obj"].str.lower(),
-            "score": rel["softmax"].astype(np.float32),
-        }
-    )
+    if rel.num_rows == 0:
+        return _KEYED_SCHEMA.empty_table()
+    return pa.table({
+        "conv_id": rel["conv_id"],
+        "subj": pc.utf8_lower(rel["subj"]),
+        "pred": rel["label"],
+        "obj": pc.utf8_lower(rel["obj"]),
+        "score": rel["softmax"].cast(pa.float32()),
+    })
 
 
-def _to_triples(batch: pd.DataFrame) -> pd.DataFrame:
+def _to_triples(batch: pa.Table) -> pa.Table:
     """Relation mentions -> local triples + combiner dedup.
 
     Deliberately narrow: entity ids (md5 strings, 64 chars/row) are
@@ -57,22 +76,29 @@ def _to_triples(batch: pd.DataFrame) -> pd.DataFrame:
     columns + score; the shuffle key is a numeric hash of the triple key
     (bucket placement only — the dedup itself compares real columns, so
     hash collisions cannot merge distinct triples)."""
-    out = _project(batch).drop_duplicates(TRIPLE_KEY, ignore_index=True)
+    out = _dedup(_project(batch))
     h = np.uint64(0)
     for c in TRIPLE_KEY:
         h = h * np.uint64(1099511628211) ^ pd.util.hash_array(
-            out[c].to_numpy(dtype=object), categorize=False
+            out[c].to_numpy(), categorize=False
         )
-    out["__tkey"] = h.astype(np.int64)
-    return out
+    return out.append_column("__tkey", pa.array(h.astype(np.int64)))
 
 
-def _finalize_ids(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.drop_duplicates(TRIPLE_KEY, ignore_index=True)
-    ids = {s: S.entity_id(s) for s in pd.unique(df[["subj", "obj"]].to_numpy().ravel())}
-    df.insert(1, "subj_id", df["subj"].map(ids))
-    df.insert(4, "obj_id", df["obj"].map(ids))
-    return df
+def _finalize_ids(tbl: pa.Table) -> pa.Table:
+    """Triple key rows holding each of their keys whole -> deduped
+    ``TRIPLE_SCHEMA`` rows, ``entity_id`` computed once per surface."""
+    if tbl.num_rows == 0:
+        return TRIPLE_SCHEMA.empty_table()
+    tbl = _dedup(tbl)
+    subj, obj = tbl["subj"].combine_chunks(), tbl["obj"].combine_chunks()
+    surfaces = pc.unique(pa.concat_arrays([subj, obj]))
+    ids = pa.array([S.entity_id(s) for s in surfaces.to_pylist()], pa.string())
+    return pa.table(
+        [tbl["conv_id"], ids.take(pc.index_in(subj, surfaces)), subj, tbl["pred"],
+         ids.take(pc.index_in(obj, surfaces)), obj, tbl["score"]],
+        schema=TRIPLE_SCHEMA,
+    )
 
 
 def triples_from_relations(
@@ -81,12 +107,8 @@ def triples_from_relations(
     """relations table -> globally deduped triples table with
     content-addressed entity ids (general path: no assumption about
     input partitioning — one keyed exchange)."""
-    local = relations.map_batches(_to_triples, batch_format="pandas")
-
-    def dedup(df: pd.DataFrame) -> pd.DataFrame:
-        return _finalize_ids(df.drop(columns="__tkey"))
-
-    return hash_exchange(local, "__tkey", dedup, num_buckets)
+    local = relations.map_batches(_to_triples, batch_format="pyarrow")
+    return hash_exchange(local, "__tkey", _finalize_ids, num_buckets, fn_format="pyarrow")
 
 
 def triples_local_dedup(relations: ray.data.Dataset) -> ray.data.Dataset:
@@ -109,11 +131,11 @@ def triples_local_dedup(relations: ray.data.Dataset) -> ray.data.Dataset:
     conversation is never split across two batch calls.
     """
     return relations.map_batches(
-        conv_local_triples, batch_format="pandas", batch_size=None
+        conv_local_triples, batch_format="pyarrow", batch_size=None
     )
 
 
-def conv_local_triples(df: pd.DataFrame) -> pd.DataFrame:
+def conv_local_triples(rel: pa.Table) -> pa.Table:
     """Deduped triples of a batch of relation rows that holds each of its
     conversations whole (the ``triples_local_dedup`` invariant)."""
-    return _finalize_ids(_project(df))
+    return _finalize_ids(_project(rel))

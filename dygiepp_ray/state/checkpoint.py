@@ -121,18 +121,16 @@ def write_part(
     and ``os.replace``, then the part manifest.  Every row must hash to
     the same partition (the caller's exchange guarantees it).  An empty
     bucket or one in ``done`` writes nothing."""
-    if isinstance(df, pa.Table):
-        df = df.to_pandas()
-    if len(df) == 0:
+    tbl = df if isinstance(df, pa.Table) else pa.Table.from_pandas(df, preserve_index=False)
+    if tbl.num_rows == 0:
         return
-    bucket = partition_of(df[key].to_numpy(), num_partitions)
+    bucket = partition_of(tbl[key].slice(0, 1).to_numpy(), num_partitions)
     if bucket in done:
         return
     pdir = _part_dir(out_dir, bucket)
     tmp = pdir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
-    tbl = pa.Table.from_pandas(df, preserve_index=False)
     pq.write_table(tbl, os.path.join(tmp, "data.parquet"))
     shutil.rmtree(pdir, ignore_errors=True)
     os.replace(tmp, pdir)
@@ -140,7 +138,10 @@ def write_part(
     # mod 2^64 — unlike XOR, duplicate rows accumulate instead of
     # cancelling, so equal-row-count multisets can't trivially
     # collide; review r4): resume/audit can verify a partition's
-    # integrity without re-reading upstream lineage
+    # integrity without re-reading upstream lineage; hashed over the
+    # pandas view, as every store's manifests were
+    if isinstance(df, pa.Table):
+        df = df.to_pandas()
     row_hashes = pd.util.hash_pandas_object(
         df.astype(str), index=False
     ).to_numpy(np.uint64)

@@ -322,16 +322,18 @@ def test_hash_coexchange_empty_bucket_guard(ray_session):
 
     a = pd.DataFrame({"id": np.int64([7] * 5), "x": range(5)})
     b = pa.table({"id": np.int64([7] * 3), "y": range(3)})
-    # the b side leads with a column-less empty block (what Ray Data's
-    # map_batches emits for an empty input block), so every bucket
-    # without b rows gets a column-less b side
-    b_side = rd.from_arrow([pa.table({}), b])
+    # a pre-split b side whose empty buckets are column-less parts (what
+    # a bucket of Ray Data's empty-block passthrough holds), so every
+    # bucket without b rows gets a column-less b side
+    home = int(stable_bucket(np.int64([7]), 16)[0])
+    splits_b = [[ray.put(b if i == home else pa.table({}))] for i in range(16)]
 
     def fn(ad, bd):
         # no hand-guard: raises KeyError on empty buckets missing columns
         return ad.merge(bd, on="id")
 
-    out = hash_coexchange(rd.from_pandas(a), b_side, "id", "id", fn, 16)
+    out = hash_coexchange(rd.from_pandas(a), rd.from_arrow(b), "id", "id", fn, 16,
+                          splits_b=splits_b)
     blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
               for ref, _ in bundle.blocks]
     assert sum(t.num_rows for t in blocks) == 15
@@ -339,6 +341,27 @@ def test_hash_coexchange_empty_bucket_guard(ray_session):
     empty = [t for t in blocks if t.num_rows == 0]
     assert len(empty) == 15
     assert all(t.column_names == ["id", "x"] for t in empty)
+
+
+def test_split_empty_parts_keep_the_keyed_schema(ray_session):
+    """A split group that leads with a column-less empty block (Ray
+    Data's empty-block passthrough) still gives typed empty parts: the
+    fallback comes from the first block that has the key."""
+    import pyarrow as pa
+
+    import ray
+
+    from dygiepp_ray import core
+
+    typed = pa.table({"id": np.int64([7] * 3), "y": range(3)})
+    parts = ray.get(core._split.options(num_returns=4).remote(
+        "id", 4, 1, 0, pa.table({}), typed))
+    assert sum(p.num_rows for p in parts) == 3
+    assert all(p.schema.equals(typed.schema) for p in parts)
+    # no block has the key: column-less parts
+    parts = ray.get(core._split.options(num_returns=2).remote(
+        "id", 2, 1, 0, pa.table({}), pa.table({"z": [1]})))
+    assert all(p.num_columns == 0 for p in parts)
 
 
 class _SplitSpy:

@@ -132,3 +132,47 @@ def test_extract_clamps_oversized_actor_pool(ray_session):
         rd.from_arrow(tbl), num_buckets=2, extract_concurrency=64
     )
     assert pipe.mentions.count() > 0
+
+
+def test_overlapping_spans_match_oracle(monkeypatch):
+    """A unigram and a bigram that share a start token, and objects
+    starting where two mentions start: every mention, relation, event
+    argument and cluster equals the oracle's (the shipped lexicon never
+    overlaps, so only this input reaches the shared-start expansion)."""
+    from dygiepp_ray import oracle
+    from dygiepp_ray.semantics import DEFAULT_CONFIG
+    from dygiepp_ray.stages.assemble import assemble_bucket
+    from dygiepp_ray.stages.extract import ExtractStage
+
+    monkeypatch.setattr(S, "ENTITY_LEXICON", {
+        **S.ENTITY_LEXICON, "spark stream": "TOOL", "table row": "DATA",
+    })
+    monkeypatch.setattr(S, "LEXICON_WIDTHS", (1, 2))
+    texts = ["spark stream join table row", "x spark stream", "table row sort row"]
+    tbl = pa.table({
+        "conv_id": ["c1"] * len(texts),
+        "turn_idx": pa.array(range(len(texts)), pa.int32()),
+        "role": ["user"] * len(texts),
+        "text": texts,
+    })
+    got = ExtractStage(DEFAULT_CONFIG)(assemble_bucket(tbl, DEFAULT_CONFIG)).to_pylist()
+    want = oracle.extract_all(tbl.to_pylist(), DEFAULT_CONFIG)
+    assert len(got) == len(want) == 1
+    d, o = got[0], want[0]
+    ner = [(m["start"], m["end"], m["label"]) for m in d["ner"]]
+    assert ner == [(a, b, lab) for sent in o.ner for (a, b, lab, _r, _s) in sent]
+    assert (0, 0, "TOOL") in ner and (0, 1, "TOOL") in ner
+    rel = [(m["s1"], m["e1"], m["s2"], m["e2"], m["label"]) for m in d["relations"]]
+    assert rel == [r[:5] for sent in o.relations for r in sent]
+    # both subjects ending at token 1 meet both objects starting at 3
+    assert [r for r in rel if r[2] == 3] == [
+        (0, 1, 3, 3, "join"), (0, 1, 3, 4, "join"),
+        (1, 1, 3, 3, "join"), (1, 1, 3, 4, "join"),
+    ]
+    args = [(m["trig_tok"], m["start"], m["end"], m["role"]) for m in d["event_args"]]
+    assert args == [(ev["trigger"][0], a, b, role) for sent in o.events
+                    for ev in sent for (a, b, role) in ev["args"]]
+    clusters = {}
+    for m in d["cluster_members"]:
+        clusters.setdefault(m["cluster_ix"], []).append((m["start"], m["end"]))
+    assert sorted(clusters.values()) == o.clusters

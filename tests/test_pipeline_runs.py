@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray
@@ -139,6 +140,74 @@ def test_triples_zero_block_input_keeps_triple_schema(ray_session):
               for ref, _ in bundle.blocks]
     assert len(blocks) == 4
     assert all(b.num_rows == 0 and b.schema == TRIPLE_SCHEMA for b in blocks)
+
+
+def test_triples_bucket_body_builds_no_pandas(monkeypatch):
+    """triples()' relations-only bucket body (assemble, extract,
+    explode, dedup) is Arrow/numpy end to end: it neither converts a
+    table to pandas (``Table.to_pandas`` goes through
+    ``pandas_compat.table_to_dataframe``) nor builds a DataFrame or
+    Series."""
+    import pyarrow.pandas_compat
+
+    from dygiepp_ray.pipelines import kg
+    from dygiepp_ray.stages.triples import conv_local_triples
+
+    tbl = make_transcripts(8, seed=3)
+    cfg = kg._narrow(DEFAULT_CONFIG, {"relations"})
+
+    def no_pandas(*a, **kw):
+        raise AssertionError("pandas in the triples() bucket body")
+
+    with monkeypatch.context() as m:
+        m.setattr(pyarrow.pandas_compat, "table_to_dataframe", no_pandas)
+        m.setattr(pd.DataFrame, "__init__", no_pandas)
+        m.setattr(pd.Series, "__init__", no_pandas)
+        got = kg._triples_bucket(tbl, cfg)
+        empty = conv_local_triples(got.slice(0, 0))
+    assert got.num_rows > 0 and got.schema == TRIPLE_SCHEMA
+    assert empty.num_rows == 0 and empty.schema == TRIPLE_SCHEMA
+    assert got.to_pandas().duplicated(TRIPLE_KEY).sum() == 0
+
+
+def _size_warnings(log_dir: str) -> int:
+    return sum(
+        open(os.path.join(d, f), errors="ignore").read().count("cannot call `vectorize`")
+        for d, _, files in os.walk(log_dir) for f in files
+    )
+
+
+def test_triples_local_dedup_empty_blocks_log_no_size_warning(ray_session, caplog):
+    """Over a relations Dataset with empty blocks the lineage dedup
+    returns Arrow: no UDF output is a 0-row object DataFrame, whose
+    pandas size estimate logs "cannot call `vectorize`" per column."""
+    from ray.data.block import BlockAccessor
+
+    from dygiepp_ray.stages import explode
+    from dygiepp_ray.stages.assemble import assemble_bucket
+    from dygiepp_ray.stages.extract import ExtractStage
+    from dygiepp_ray.stages.triples import conv_local_triples
+
+    def predicted(tbl):
+        return ExtractStage(DEFAULT_CONFIG)(assemble_bucket(tbl, DEFAULT_CONFIG))
+
+    pred = predicted(make_transcripts(6, seed=3))
+    # documents without relations: an empty relations block
+    quiet = predicted(pa.table({
+        "conv_id": ["q"], "turn_idx": pa.array([0], pa.int32()),
+        "role": ["user"], "text": ["hello world"],
+    }))
+    rel = explode.explode_block(pred, "relations")
+    logs = ray._private.worker.global_worker.node.get_logs_dir_path()
+    before = _size_warnings(logs)
+    ds = explode.relations_table(rd.from_arrow([pred, quiet, quiet]))
+    got = triples_local_dedup(ds).to_arrow_refs()
+    blocks = ray.get(got)
+    assert sum(b.num_rows for b in blocks) == conv_local_triples(rel).num_rows > 0
+    assert _size_warnings(logs) == before
+    with caplog.at_level(logging.WARNING, logger="ray.data"):
+        BlockAccessor.for_block(conv_local_triples(rel.slice(0, 0))).size_bytes()
+    assert not [r for r in caplog.records if "vectorize" in r.getMessage()]
 
 
 @pytest.mark.parametrize("cfg", [
