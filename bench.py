@@ -36,6 +36,29 @@ CORPUS = f"/tmp/dygiepp_bench/transcripts_c{N_CONVS}_seed42"
 N_FILES = 64
 
 
+# Secondary registry queries timed after the flagship, by registry name.
+SECONDARY_QUERIES = (
+    "q1_pricing_summary", "events_tumbling", "sessionize", "dedup_exact",
+    "ann_topk", "ivf_topk", "minhash_near_dups", "simhash_near_dups",
+    "asof_join_purchase", "range_join_error_window", "quantiles_price",
+    "decontaminate", "shuffle_rank", "frequent_ngrams", "hll_users",
+    "cms_users", "cohort_retention", "revenue_rollup", "funnel_steps",
+    "prepare_training_set", "prefix_near_dups", "fuzzy_decontaminate",
+    "triangle_count", "kg_cooccurrence", "histogram_quantiles",
+    "orders_snapshot_diff", "events_ohlc", "purchase_attribution",
+    "zorder_layout", "bfs_hops", "user_active_time",
+    "events_late_arrivals", "source_diversity", "unigram_surprisal",
+    "local_supplier_volume", "parts_supplier_counts", "corr_matrix",
+    "session_duration_quantiles", "surprisal_buckets", "kg_store_lookup",
+    # web-corpus ingestion + retrieval + KG-embedding families
+    "html_extract", "bm25_search", "winnowing_fingerprints", "kg_hits",
+    "kg_transe_scores",
+    # semantic/exact dedup + clustering
+    "semantic_dedup", "kmeans_clusters", "window_shingle_dedup",
+    "kg_entity_timeline",
+)
+
+
 def ensure_corpus() -> str:
     """Deterministic synthetic transcripts, written once (64 parquet files
     so reads parallelize); generation is excluded from timing."""
@@ -121,65 +144,11 @@ def main() -> None:
         queries["kg_collated_triples"] = time.perf_counter() - t0
 
         # ---- secondary operator pipelines over driver tables ----
-        from dygiepp_ray import analytics as A
-        from dygiepp_ray import relational as R
-        from dygiepp_ray.textops import queries as TQ
-        from dygiepp_ray.pipelines import queries as KQ
+        from dygiepp_ray.pipelines.queries import all_queries
 
-        for name, fn in [
-            ("q1_pricing_summary", R.q1_pricing_summary),
-            ("events_tumbling", R.events_tumbling),
-            ("sessionize", R.sessionize),
-            ("dedup_exact", TQ.q_dedup_exact),
-            ("ann_topk", TQ.q_ann_topk),
-            ("ivf_topk", TQ.q_ivf_topk),
-            ("minhash_near_dups", TQ.q_minhash_near_dups),
-            ("simhash_near_dups", TQ.q_simhash_near_dups),
-            ("asof_join_purchase", A.asof_join_purchase),
-            ("range_join_error_window", A.range_join_error_window),
-            ("quantiles_price", A.quantiles_price),
-            ("decontaminate", TQ.q_decontaminate),
-            ("shuffle_rank", TQ.q_shuffle_rank),
-            ("frequent_ngrams", TQ.q_frequent_ngrams),
-            ("hll_users", R.hll_users),
-            ("cms_users", R.cms_users),
-            ("cohort_retention", R.cohort_retention),
-            ("revenue_rollup", R.revenue_rollup),
-            ("funnel_steps", R.funnel_steps),
-            ("prepare_training_set", TQ.q_prepare_training_set),
-            ("prefix_near_dups", TQ.q_prefix_near_dups),
-            ("fuzzy_decontaminate", TQ.q_fuzzy_decontaminate),
-            ("triangle_count", A.triangle_count),
-            ("kg_cooccurrence", KQ.q_kg_cooccurrence),
-            ("histogram_quantiles", R.histogram_quantiles),
-            ("orders_snapshot_diff", R.orders_snapshot_diff),
-            ("events_ohlc", R.events_ohlc),
-            ("purchase_attribution", R.purchase_attribution),
-            ("zorder_layout", R.zorder_layout),
-            ("bfs_hops", A.bfs_hops),
-            ("user_active_time", R.user_active_time),
-            ("events_late_arrivals", R.events_late_arrivals),
-            ("source_diversity", TQ.q_source_diversity),
-            ("unigram_surprisal", TQ.q_unigram_surprisal),
-            ("local_supplier_volume", R.local_supplier_volume),
-            ("parts_supplier_counts", R.parts_supplier_counts),
-            ("corr_matrix", R.corr_matrix),
-            ("session_duration_quantiles", R.session_duration_quantiles),
-            ("surprisal_buckets", TQ.q_surprisal_buckets),
-            ("kg_store_lookup", KQ.q_kg_store_lookup),
-            # tenth continuation: web-corpus ingestion + retrieval +
-            # KG-embedding families
-            ("html_extract", TQ._webcorpus.q_html_extract),
-            ("bm25_search", TQ.q_bm25_search),
-            ("winnowing_fingerprints", TQ.q_winnowing_fingerprints),
-            ("kg_hits", KQ.q_kg_hits),
-            ("kg_transe_scores", KQ.q_kg_transe_scores),
-            # round 5: semantic/exact dedup + clustering additions
-            ("semantic_dedup", TQ.q_semantic_dedup),
-            ("kmeans_clusters", TQ.q_kmeans_clusters),
-            ("window_shingle_dedup", TQ.q_window_shingle_dedup),
-            ("kg_entity_timeline", KQ.q_kg_entity_timeline),
-        ]:
+        registry = all_queries()
+        for name in SECONDARY_QUERIES:
+            fn = registry[name][0]
             t0 = time.perf_counter()
             res = fn(SF_DIR)
             if hasattr(res, "count"):

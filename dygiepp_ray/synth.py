@@ -110,10 +110,3 @@ def make_transcripts(
         perm = np.random.RandomState(seed).permutation(len(conv_id))
         tbl = tbl.take(pa.array(perm))
     return tbl
-
-
-def write_transcripts(path: str, n_convs: int = 50, seed: int = 42) -> str:
-    import pyarrow.parquet as pq
-
-    pq.write_table(make_transcripts(n_convs, seed), path)
-    return path

@@ -39,6 +39,35 @@ def test_sampled_queries_run(entrymod):
         assert len(df) > 0, name
 
 
+def test_registry_families_are_consistent(entrymod):
+    """The four family dicts share no name (``all_queries`` merges them
+    with ``dict.update``, so a reused name would silently win), the
+    driver's sample-first list names each registry entry at most once,
+    and every query has its DuckDB oracle."""
+    from dygiepp_ray.analytics import ANALYTICS_QUERIES
+    from dygiepp_ray.pipelines.queries import _DRIVER_SAMPLE_FIRST, KG_QUERIES
+    from dygiepp_ray.relational import RELATIONAL_QUERIES
+    from dygiepp_ray.textops.queries import TEXTOPS_QUERIES
+
+    families = [KG_QUERIES, RELATIONAL_QUERIES, TEXTOPS_QUERIES,
+                ANALYTICS_QUERIES]
+    names = [k for fam in families for k in fam]
+    assert len(names) == len(set(names))
+
+    q = entrymod.queries()
+    assert set(q) == set(names)
+    assert len(_DRIVER_SAMPLE_FIRST) == len(set(_DRIVER_SAMPLE_FIRST))
+    assert set(_DRIVER_SAMPLE_FIRST) <= set(q)
+    assert set(entrymod.oracle_sql()) == set(q)
+
+
+def test_bench_secondary_queries_are_registered():
+    import bench
+    from dygiepp_ray.pipelines.queries import all_queries
+
+    assert set(bench.SECONDARY_QUERIES) <= set(all_queries())
+
+
 def test_sql_oracles_are_valid_duckdb(entrymod):
     import duckdb
 

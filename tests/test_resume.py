@@ -343,6 +343,38 @@ def test_retried_bucket_leaves_store_unchanged(ray_session, tmp_path):
     assert not [d for d in os.listdir(retried_dir) if d.endswith(".tmp")]
 
 
+def test_retried_graph_bucket_leaves_store_unchanged(clean, tmp_path, monkeypatch):
+    """A ``run_all`` bucket whose worker dies after the fused body has
+    written its triples and clusters partitions is run again by Ray's
+    default task retry, and the store equals a clean build: every
+    table's ``_MANIFEST.json``, and every part's rows and fingerprint.
+    One worker is killed, once."""
+    flag = str(tmp_path / "killed")
+    real = kg._graph_bucket
+
+    def killing(tbl, **kw):
+        out = real(tbl, **kw)
+        if tbl.num_rows:
+            try:  # O_EXCL: only the first bucket to get here dies
+                os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return out
+
+    monkeypatch.setattr(kg, "_graph_bucket", killing)
+    out = str(tmp_path / "graph")
+    KGPipeline(rd.from_arrow(clean["tbl"]), num_buckets=4).run_all(out, NP)
+    assert os.path.exists(flag)  # a worker did die inside the exchange
+    for t in TABLES:
+        with open(os.path.join(out, t, "_MANIFEST.json")) as f:
+            got = json.load(f)
+        with open(os.path.join(clean["out"], t, "_MANIFEST.json")) as f:
+            assert got == json.load(f), t
+    _assert_same_store(out, clean)
+
+
 @pytest.fixture()
 def small_ds(ray_session):
     df = pd.DataFrame({"conv_id": [f"c{i % 10}" for i in range(100)], "v": range(100)})
