@@ -330,13 +330,9 @@ def _graph_bucket(
     for name, out_dir, done in writes:
         if part not in done:
             write_part(rows[name](), out_dir, "conv_id", num_partitions, done)
-    mentions = explode.explode_block(pred, "ner") if partials else None
-    if mentions is None or mentions.num_rows == 0:
+    if not partials:
         return SALTED_SCHEMA.empty_table()
-    return pa.Table.from_pandas(
-        salted_partials(mentions.to_pandas()), schema=SALTED_SCHEMA,
-        preserve_index=False,
-    )
+    return salted_partials(explode.explode_block(pred, "ner"))
 
 
 def _run_all_direct(
@@ -357,7 +353,7 @@ def _run_all_direct(
     )
     out = {name: finish_table(*todo[name], done[name]) for name, *_ in writes}
     if "entities" in todo:
-        phase1 = hash_exchange(salted, "__skey", merge_salted)
+        phase1 = hash_exchange(salted, "__skey", merge_salted, fn_format="pyarrow")
         out["entities"] = write_partitioned(phase1, *todo["entities"], fn=merge_final)
     return out
 

@@ -533,6 +533,8 @@ WHERE substr(md5(CAST(o_orderkey AS VARCHAR)), 1, 2) < '1a'
 def distinct_event_users(sf_dir: str) -> ray.data.Dataset:
     """Distinct users per event type (A9 pattern: per-batch distinct
     partials, then exact distinct-union in a small groupby)."""
+    import pyarrow as pa
+
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
@@ -541,10 +543,12 @@ def distinct_event_users(sf_dir: str) -> ray.data.Dataset:
         return df.drop_duplicates(["event_type", "user_id"], ignore_index=True)
 
     partials = ds.map_batches(partial, batch_format="pandas")
+    schema = pa.schema([("event_type", pa.string()), ("n_users", pa.int64())])
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
+    def final(df: pd.DataFrame) -> pa.Table:
+        # a fixed schema: an empty bucket's event_type would be Arrow null
         g = df.groupby("event_type", sort=False)["user_id"].nunique().rename("n_users")
-        return g.reset_index().astype({"n_users": np.int64})
+        return pa.Table.from_pandas(g.reset_index(), schema=schema, preserve_index=False)
 
     return hash_exchange(partials, "event_type", final, num_buckets=4)
 
@@ -12378,7 +12382,8 @@ def user_value_auc(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     turns point-in-time gauges into exposure: twice the integral of
     the linearly-interpolated value curve, in cent-milliseconds, so
     everything stays integer-exact): segments run between consecutive
-    events ordered by (ts, event_id).  Users with one event have no
+    events ordered by (ms, event_id), ms being ts truncated to whole
+    milliseconds.  Users with one event have no
     segment and report auc2x = 0.
 
     ONE user-keyed exchange; per-bucket vectorized diff over each
@@ -12395,8 +12400,9 @@ def user_value_auc(sf_dir: str) -> "ray.data.Dataset | pd.DataFrame":
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "user_id" not in df.columns:
             return empty_out
-        d = df.sort_values(["user_id", "ts", "event_id"])
-        ms = ts_epoch_us(d["ts"]) // 1000
+        d = df.assign(ms=ts_epoch_us(df["ts"]) // 1000).sort_values(
+            ["user_id", "ms", "event_id"])
+        ms = d["ms"].to_numpy(np.int64)
         cv = np.floor(
             d["value"].to_numpy(np.float64) * 100.0 + 0.5
         ).astype(np.int64)

@@ -22,10 +22,8 @@ fixed fan-out of mostly empty merges.
 
 from __future__ import annotations
 
-import functools
-
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -57,89 +55,82 @@ SALTED_SCHEMA = pa.schema(
 NUM_SALTS = 16
 
 
-def salted_partials(
-    batch: pd.DataFrame, num_salts: int = NUM_SALTS, doc_local: bool = True
-) -> pd.DataFrame:
+def salted_partials(batch: pa.Table, num_salts: int = NUM_SALTS) -> pa.Table:
     """Phase-1 partials of one batch of mentions, keyed on ``__skey`` =
     (surface, salt) with salt = hash(doc_key) % ``num_salts``.
 
-    ``doc_local=True`` requires every document's mentions in this batch:
-    each doc_key then occurs in exactly one batch, so its row count here
-    IS its distinct-doc contribution and the partials collapse to
-    ``SALTED_SCHEMA`` rows.  ``doc_local=False`` keeps doc_key (still
-    exact, just a bigger shuffle)."""
-    df = pd.DataFrame(
-        {
-            "surface": batch["surface"].str.lower(),
-            "label": batch["label"],
-            "doc_key": batch["doc_key"],
-        }
+    Requires every document's mentions in this batch: each doc_key then
+    occurs in exactly one batch, so its rows here ARE its distinct-doc
+    contribution and the partials collapse to ``SALTED_SCHEMA`` rows."""
+    if batch.num_rows == 0:
+        return SALTED_SCHEMA.empty_table()
+    per_doc = (
+        pa.table({"surface": pc.utf8_lower(batch["surface"]),
+                  "label": batch["label"], "doc_key": batch["doc_key"]})
+        .group_by(["surface", "label", "doc_key"], use_threads=False)
+        .aggregate([([], "count_all")])
+    )
+    salt = stable_bucket(per_doc["doc_key"].to_numpy(zero_copy_only=False), num_salts)
+    skey = pc.binary_join_element_wise(
+        per_doc["surface"], pa.array(salt).cast(pa.string()), "\x1f"
     )
     g = (
-        df.groupby(["surface", "label", "doc_key"], sort=False)
-        .size()
-        .rename("n_mentions")
-        .reset_index()
+        per_doc.append_column("__skey", skey)
+        .group_by(["surface", "label", "__skey"], use_threads=False)
+        .aggregate([("count_all", "sum"), ("doc_key", "count")])
     )
-    salt = pd.Series(stable_bucket(g["doc_key"].to_numpy(), num_salts), index=g.index)
-    g["__skey"] = g["surface"].str.cat(salt.astype(str), sep="\x1f")
-    if doc_local:
-        g = (
-            g.groupby(["surface", "label", "__skey"], sort=False)
-            .agg(n_mentions=("n_mentions", "sum"), n_docs=("doc_key", "size"))
-            .reset_index()
-        )
-    return g
+    return pa.table(
+        [g["surface"], g["label"], g["__skey"], g["count_all_sum"], g["doc_key_count"]],
+        schema=SALTED_SCHEMA,
+    )
 
 
-def merge_salted(df: pd.DataFrame, doc_local: bool = True) -> pa.Table:
+def merge_salted(tbl: pa.Table) -> pa.Table:
     """Phase-1 merge of one ``__skey`` bucket: hot surfaces spread over
     ``num_salts`` buckets."""
-    n_docs = ("n_docs", "sum") if doc_local else ("doc_key", "nunique")
-    g = (
-        df.groupby(["surface", "label", "__skey"], sort=False)
-        .agg(n_mentions=("n_mentions", "sum"), n_docs=n_docs)
-        .reset_index()
+    if tbl.num_rows == 0:
+        return SALTED_SCHEMA.empty_table()
+    g = tbl.group_by(["surface", "label", "__skey"], use_threads=False).aggregate(
+        [("n_mentions", "sum"), ("n_docs", "sum")]
     )
-    return pa.Table.from_pandas(g, schema=SALTED_SCHEMA, preserve_index=False)
+    return pa.table(
+        [g["surface"], g["label"], g["__skey"], g["n_mentions_sum"], g["n_docs_sum"]],
+        schema=SALTED_SCHEMA,
+    )
 
 
-def merge_final(df: pd.DataFrame) -> pa.Table:
+def merge_final(tbl: pa.Table) -> pa.Table:
     """Phase 2 over a bucket that holds every phase-1 row of its
     surfaces: one ``ENTITY_SCHEMA`` row per (surface, label)."""
-    g = (
-        df.groupby(["surface", "label"], sort=False)
-        .agg(n_mentions=("n_mentions", "sum"), n_docs=("n_docs", "sum"))
-        .reset_index()
+    if tbl.num_rows == 0:
+        return ENTITY_SCHEMA.empty_table()
+    g = tbl.group_by(["surface", "label"], use_threads=False).aggregate(
+        [("n_mentions", "sum"), ("n_docs", "sum")]
     )
-    uniq = {s: S.entity_id(s) for s in g["surface"].unique()}
-    g.insert(0, "entity_id", g["surface"].map(uniq))
-    return pa.Table.from_pandas(g, schema=ENTITY_SCHEMA, preserve_index=False)
+    surface = g["surface"].combine_chunks()
+    uniq = pc.unique(surface)
+    ids = pa.array([S.entity_id(s) for s in uniq.to_pylist()], pa.string())
+    return pa.table(
+        [ids.take(pc.index_in(surface, uniq)), surface, g["label"],
+         g["n_mentions_sum"], g["n_docs_sum"]],
+        schema=ENTITY_SCHEMA,
+    )
 
 
 def canonicalize(
-    mentions: ray.data.Dataset,
-    num_salts: int = NUM_SALTS,
-    doc_local_batches: bool = True,
+    mentions: ray.data.Dataset, num_salts: int = NUM_SALTS
 ) -> ray.data.Dataset:
     """mentions (doc_key, surface, label, ...) -> entities table.
 
-    ``doc_local_batches=True`` (the pipeline default) assumes every
-    document's mentions arrive within ONE batch — true for any mentions
-    table derived from the assembly exchange without repartitioning
-    (same block-locality invariant as ``triples_local_dedup``).  Then
-    batch partials collapse all the way to (surface, label, salt) —
+    Assumes every document's mentions arrive within ONE block — true
+    for any mentions table derived from the assembly exchange without
+    repartitioning (same block-locality invariant as
+    ``triples_local_dedup``); batches are whole blocks.  Then batch
+    partials collapse all the way to (surface, label, salt) —
     O(vocab x salts) rows per batch — and the two aggregation exchanges
-    carry a few hundred rows regardless of corpus size.  Set False for
-    mention streams of unknown partitioning (partials stay at doc
-    granularity; still exact, just a bigger shuffle)."""
-    kw = {"batch_format": "pandas"}
-    if doc_local_batches:
-        kw["batch_size"] = None  # one batch per block preserves doc locality
+    carry a few hundred rows regardless of corpus size."""
     partials = mentions.map_batches(
-        salted_partials, fn_args=(num_salts, doc_local_batches), **kw
+        salted_partials, fn_args=(num_salts,), batch_format="pyarrow", batch_size=None
     )
-    phase1 = hash_exchange(
-        partials, "__skey", functools.partial(merge_salted, doc_local=doc_local_batches)
-    )
-    return hash_exchange(phase1, "surface", merge_final)
+    phase1 = hash_exchange(partials, "__skey", merge_salted, fn_format="pyarrow")
+    return hash_exchange(phase1, "surface", merge_final, fn_format="pyarrow")

@@ -9,14 +9,13 @@ dedup keeps the first row of each key packed from dictionary codes
 ``document.py:316-320``), and ``entity_id`` runs once per unique
 surface.  A conv-complete batch dedups in place
 (``conv_local_triples``); the general path dedups batch-locally
-(combiner) and then once more per bucket of one hash shuffle on the
-triple key.
+(combiner) and then once more per bucket of one hash shuffle on
+``conv_id``, the triple key's prefix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -68,23 +67,6 @@ def _project(rel: pa.Table) -> pa.Table:
     })
 
 
-def _to_triples(batch: pa.Table) -> pa.Table:
-    """Relation mentions -> local triples + combiner dedup.
-
-    Deliberately narrow: entity ids (md5 strings, 64 chars/row) are
-    derived AFTER the global dedup so the shuffle carries only the key
-    columns + score; the shuffle key is a numeric hash of the triple key
-    (bucket placement only — the dedup itself compares real columns, so
-    hash collisions cannot merge distinct triples)."""
-    out = _dedup(_project(batch))
-    h = np.uint64(0)
-    for c in TRIPLE_KEY:
-        h = h * np.uint64(1099511628211) ^ pd.util.hash_array(
-            out[c].to_numpy(), categorize=False
-        )
-    return out.append_column("__tkey", pa.array(h.astype(np.int64)))
-
-
 def _finalize_ids(tbl: pa.Table) -> pa.Table:
     """Triple key rows holding each of their keys whole -> deduped
     ``TRIPLE_SCHEMA`` rows, ``entity_id`` computed once per surface."""
@@ -106,9 +88,15 @@ def triples_from_relations(
 ) -> ray.data.Dataset:
     """relations table -> globally deduped triples table with
     content-addressed entity ids (general path: no assumption about
-    input partitioning — one keyed exchange)."""
-    local = relations.map_batches(_to_triples, batch_format="pyarrow")
-    return hash_exchange(local, "__tkey", _finalize_ids, num_buckets, fn_format="pyarrow")
+    input partitioning — one keyed exchange).
+
+    Each batch projects and dedups its rows first (combiner).  The
+    exchange is on ``conv_id``, the triple key's prefix, so a bucket
+    holds every copy of its triples and its dedup is global.  Entity
+    ids (md5 strings) are derived after it, so the shuffle carries only
+    the key columns and the score."""
+    local = relations.map_batches(lambda b: _dedup(_project(b)), batch_format="pyarrow")
+    return hash_exchange(local, "conv_id", _finalize_ids, num_buckets, fn_format="pyarrow")
 
 
 def triples_local_dedup(relations: ray.data.Dataset) -> ray.data.Dataset:

@@ -110,7 +110,7 @@ def partition_of(keys, num_partitions: int) -> int:
 
 
 def write_part(
-    df: pd.DataFrame | pa.Table,
+    tbl: pa.Table,
     out_dir: str,
     key: str,
     num_partitions: int,
@@ -121,12 +121,14 @@ def write_part(
     and ``os.replace``, then the part manifest.  Every row must hash to
     the same partition (the caller's exchange guarantees it).  An empty
     bucket or one in ``done`` writes nothing."""
-    tbl = df if isinstance(df, pa.Table) else pa.Table.from_pandas(df, preserve_index=False)
     if tbl.num_rows == 0:
         return
     bucket = partition_of(tbl[key].slice(0, 1).to_numpy(), num_partitions)
     if bucket in done:
         return
+    # a DataFrame's non-range index rides along as a column; not data
+    index = (tbl.schema.pandas_metadata or {}).get("index_columns", [])
+    tbl = tbl.drop_columns([c for c in index if isinstance(c, str)])
     pdir = _part_dir(out_dir, bucket)
     tmp = pdir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -140,8 +142,7 @@ def write_part(
     # collide; review r4): resume/audit can verify a partition's
     # integrity without re-reading upstream lineage; hashed over the
     # pandas view, as every store's manifests were
-    if isinstance(df, pa.Table):
-        df = df.to_pandas()
+    df = tbl.to_pandas()
     row_hashes = pd.util.hash_pandas_object(
         df.astype(str), index=False
     ).to_numpy(np.uint64)
@@ -198,28 +199,29 @@ def write_partitioned(
     out_dir: str,
     key: str,
     num_partitions: int = 32,
-    fn: Callable[[pd.DataFrame], pd.DataFrame | pa.Table] | None = None,
+    fn: Callable[[pa.Table], pa.Table] | None = None,
 ) -> dict:
     """Write ``ds`` hash-partitioned on ``key``; idempotent per partition.
 
     ONE exchange on ``key`` at ``num_partitions`` buckets: bucket N
     holds exactly the rows of partition N, and its task writes them
     (``write_part``).  ``fn``, when given, runs on each bucket's rows
-    first (a per-key aggregate whose groups the bucket holds whole); its
-    output must keep ``key``.  Returns the run manifest.  Partitions
-    listed in ``completed_partitions`` are skipped entirely (resume
-    path), ``fn`` included.  A directory written with another ``key``
-    or ``num_partitions`` raises ValueError.
+    first (a per-key aggregate whose groups the bucket holds whole): it
+    takes and returns a ``pa.Table``, and its output must keep ``key``.
+    Returns the run manifest.  Partitions listed in
+    ``completed_partitions`` are skipped entirely (resume path), ``fn``
+    included.  A directory written with another ``key`` or
+    ``num_partitions`` raises ValueError.
     """
     done = prepare_table(out_dir, key, num_partitions)
 
-    def write_bucket(df: pd.DataFrame) -> pa.Table:
-        if len(df) and partition_of(df[key].to_numpy(), num_partitions) not in done:
-            write_part(fn(df) if fn else df, out_dir, key, num_partitions, done)
+    def write_bucket(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows and partition_of(tbl[key], num_partitions) not in done:
+            write_part(fn(tbl) if fn else tbl, out_dir, key, num_partitions, done)
         return pa.table({})
 
     # the exchange is eager: every bucket is written when it returns
-    hash_exchange(ds, key, write_bucket, num_buckets=num_partitions)
+    hash_exchange(ds, key, write_bucket, num_buckets=num_partitions, fn_format="pyarrow")
     return finish_table(out_dir, key, num_partitions, done)
 
 

@@ -21,6 +21,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
@@ -29,25 +30,24 @@ import ray.data
 from ..core import hash_exchange, stable_bucket
 from .checkpoint import _part_dir, write_partitioned
 
-_STORE_COLS = {"subj": object, "pred": object, "obj": object,
-               "n_convs": np.int64}
+STORE_SCHEMA = pa.schema([("subj", pa.string()), ("pred", pa.string()),
+                          ("obj", pa.string()), ("n_convs", pa.int64())])
+_TRIPLE = ["subj", "pred", "obj"]
 
 
-def _empty_store_df() -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series(dtype=t)
-                         for c, t in _STORE_COLS.items()})
+def _support(tbl: pa.Table, col: str, how: str) -> pa.Table:
+    """Store rows: ``how`` of ``col`` per (subj, pred, obj)."""
+    if tbl.num_rows == 0:
+        return STORE_SCHEMA.empty_table()
+    g = tbl.group_by(_TRIPLE, use_threads=False).aggregate([(col, how)])
+    return pa.table([g[c] for c in _TRIPLE] + [g[f"{col}_{how}"]],
+                    schema=STORE_SCHEMA)
 
 
-def _rollup(df: pd.DataFrame) -> pd.DataFrame:
+def _rollup(tbl: pa.Table) -> pa.Table:
     """(conv_id, subj, pred, obj) bucket -> per-triple conv support.
     Global dedup by construction: every copy of a subject co-locates."""
-    if len(df) == 0 or "subj" not in df.columns:
-        return _empty_store_df()
-    g = (df.drop_duplicates()
-         .groupby(["subj", "pred", "obj"], as_index=False)["conv_id"]
-         .nunique().rename(columns={"conv_id": "n_convs"}))
-    g["n_convs"] = g["n_convs"].astype(np.int64)
-    return g
+    return _support(tbl, "conv_id", "count_distinct")
 
 
 def save_kg_store(
@@ -63,11 +63,9 @@ def save_kg_store(
                              num_partitions=num_buckets, fn=_rollup)
 
 
-def _merge(df: pd.DataFrame) -> pd.DataFrame:
+def _merge(tbl: pa.Table) -> pa.Table:
     """Store rows of disjoint conversation sets -> summed supports."""
-    g = df.groupby(["subj", "pred", "obj"], as_index=False)["n_convs"].sum()
-    g["n_convs"] = g["n_convs"].astype(np.int64)
-    return g
+    return _support(tbl, "n_convs", "sum")
 
 
 def upsert_kg_store(
@@ -96,13 +94,9 @@ def upsert_kg_store(
         # the merged store is just the delta
         return save_kg_store(delta_triples, out_path, num_buckets)
     delta = hash_exchange(delta_triples, "subj", _rollup,
-                          num_buckets=num_buckets)
+                          num_buckets=num_buckets, fn_format="pyarrow")
     # drop the hive-parsed part column so base and delta union cleanly
-    base = read_partitioned(base_path).map_batches(
-        lambda df: df.drop(
-            columns=[c for c in ("part",) if c in df.columns]),
-        batch_format="pandas",
-    )
+    base = read_partitioned(base_path).select_columns(STORE_SCHEMA.names)
     return write_partitioned(base.union(delta), out_path, key="subj",
                              num_partitions=num_buckets, fn=_merge)
 
@@ -114,18 +108,16 @@ def kg_lookup(path: str, subject: str) -> pd.DataFrame:
     just row-group stats), then filters to the subject.  The files are
     read with pyarrow in the calling process: one small partition does
     not pay for a Ray Data plan."""
+    out = STORE_SCHEMA.empty_table()
     manifest_path = os.path.join(path, "_MANIFEST.json")
-    if not os.path.isfile(manifest_path):
-        return _empty_store_df()
-    with open(manifest_path) as f:
-        num_partitions = int(json.load(f)["num_partitions"])
-    bucket = int(stable_bucket(
-        np.asarray([subject], dtype=object), num_partitions)[0])
-    pdir = _part_dir(path, bucket)
-    if not os.path.isdir(pdir):
-        return _empty_store_df()
-    out = pq.read_table(pdir, filters=pc.field("subj") == subject,
-                        partitioning=None).to_pandas()
-    if out.empty:
-        return _empty_store_df()
-    return out
+    if os.path.isfile(manifest_path):
+        with open(manifest_path) as f:
+            num_partitions = int(json.load(f)["num_partitions"])
+        bucket = int(stable_bucket(
+            np.asarray([subject], dtype=object), num_partitions)[0])
+        pdir = _part_dir(path, bucket)
+        if os.path.isdir(pdir):
+            hit = pq.read_table(pdir, filters=pc.field("subj") == subject,
+                                partitioning=None)
+            out = hit if hit.num_rows else out
+    return out.to_pandas()

@@ -6,6 +6,7 @@ import os
 import re
 
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 import ray.data as rd
@@ -112,6 +113,28 @@ def test_manifest_fingerprint_deterministic(small_ds, tmp_path):
         m2 = json.load(open(C._part_manifest(out2, b)))
         assert m1["fingerprint"] == m2["fingerprint"]
         assert len(m1["fingerprint"]) == 16
+        # the shuffled frame's index is not stored as a column
+        part = pq.read_table(C._part_dir(out2, b), partitioning=None)
+        assert part.column_names == ["conv_id", "v"]
+
+
+def test_write_part_fingerprint_golden(tmp_path):
+    """``write_part`` hashes the pandas view of the Arrow table it
+    writes; the value below was written by the pandas-bucket writer, so
+    stores written before the Arrow writer stay resumable."""
+    import pyarrow as pa
+
+    tbl = pa.table({
+        "conv_id": ["c7", "c7", "c7", "c7"],
+        "subj": ["alpha", "beta", "alpha", "Gamma ray"],
+        "n_convs": pa.array([3, 1, 3, -2], pa.int64()),
+        "score": pa.array([0.5, 0.25, 0.5, 1.125], pa.float32()),
+    })
+    out = str(tmp_path / "g")
+    os.makedirs(out)
+    C.write_part(tbl, out, "conv_id", 4, set())
+    m = json.load(open(C._part_manifest(out, 0)))
+    assert (m["rows"], m["n_keys"], m["fingerprint"]) == (4, 1, "730657aab7292a9f")
 
 
 def test_kill_resume_two_stage_pipeline(ray_session, tmp_path):

@@ -111,6 +111,22 @@ def test_event_queries_differential(ray_session, tmp_path, seed, qname):
     _compare(str(tmp_path), qname)
 
 
+def test_user_value_auc_sub_ms_order(ray_session, tmp_path):
+    """One user, two events inside one millisecond whose microseconds
+    and event ids order them oppositely, then a third event: segments
+    follow (ms, event_id) as in the SQL twin, not the raw timestamp."""
+    ts = np.array([1_000_100, 1_000_900, 2_000_000])  # microseconds
+    pq.write_table(pa.table({
+        "event_id": pa.array([2, 1, 3], pa.int64()),
+        "ts": pa.array(pd.to_datetime(ts * 1_000), pa.timestamp("us")),
+        "user_id": pa.array([5, 5, 5], pa.int64()),
+        "event_type": pa.array(["view", "click", "purchase"]),
+        "value": pa.array([10.0, 30.0, 50.0]),
+        "props": pa.array(["{}"] * 3),
+    }), tmp_path / "events.parquet")
+    _compare(str(tmp_path), "user_value_auc")
+
+
 @pytest.mark.parametrize("seed", [5, 19])
 def test_orders_queries_differential(ray_session, tmp_path, seed):
     rng = np.random.default_rng(seed)

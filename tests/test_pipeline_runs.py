@@ -147,17 +147,20 @@ def test_triples_bucket_body_builds_no_pandas(monkeypatch):
     explode, dedup) is Arrow/numpy end to end: it neither converts a
     table to pandas (``Table.to_pandas`` goes through
     ``pandas_compat.table_to_dataframe``) nor builds a DataFrame or
-    Series."""
+    Series.  Nor does run_all's bucket body when it returns the salted
+    canonicalization partials of its mentions."""
     import pyarrow.pandas_compat
 
     from dygiepp_ray.pipelines import kg
+    from dygiepp_ray.stages.canonicalize import SALTED_SCHEMA
     from dygiepp_ray.stages.triples import conv_local_triples
 
     tbl = make_transcripts(8, seed=3)
     cfg = kg._narrow(DEFAULT_CONFIG, {"relations"})
+    ner_cfg = kg._narrow(DEFAULT_CONFIG, {"ner"})
 
     def no_pandas(*a, **kw):
-        raise AssertionError("pandas in the triples() bucket body")
+        raise AssertionError("pandas in a fused bucket body")
 
     with monkeypatch.context() as m:
         m.setattr(pyarrow.pandas_compat, "table_to_dataframe", no_pandas)
@@ -165,6 +168,8 @@ def test_triples_bucket_body_builds_no_pandas(monkeypatch):
         m.setattr(pd.Series, "__init__", no_pandas)
         got = kg._triples_bucket(tbl, cfg)
         empty = conv_local_triples(got.slice(0, 0))
+        salted = kg._graph_bucket(tbl, ner_cfg, 4, writes=[], partials=True)
+    assert salted.num_rows > 0 and salted.schema == SALTED_SCHEMA
     assert got.num_rows > 0 and got.schema == TRIPLE_SCHEMA
     assert empty.num_rows == 0 and empty.schema == TRIPLE_SCHEMA
     assert got.to_pandas().duplicated(TRIPLE_KEY).sum() == 0

@@ -317,9 +317,9 @@ def test_retried_bucket_leaves_store_unchanged(ray_session, tmp_path):
         # the calls _run_all_direct makes for its fused triples write
         done = C.prepare_table(out_dir, "conv_id", NP)
 
-        def bucket(rows: pd.DataFrame) -> pa.Table:
+        def bucket(rows: pa.Table) -> pa.Table:
             C.write_part(rows, out_dir, "conv_id", NP, done)
-            if kill and len(rows):
+            if kill and rows.num_rows:
                 try:  # O_EXCL: only the first writer to get here dies
                     os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
                 except FileExistsError:
@@ -328,7 +328,8 @@ def test_retried_bucket_leaves_store_unchanged(ray_session, tmp_path):
                     os._exit(1)
             return pa.table({})
 
-        hash_exchange(rd.from_pandas(df), "conv_id", bucket, num_buckets=NP)
+        hash_exchange(rd.from_pandas(df), "conv_id", bucket, num_buckets=NP,
+                      fn_format="pyarrow")
         C.finish_table(out_dir, "conv_id", NP, done)
         with open(os.path.join(out_dir, "_MANIFEST.json")) as f:
             return json.load(f)
@@ -411,7 +412,7 @@ def test_complete_manifest(small_ds, tmp_path):
 
 
 def test_kg_lookup_empty_results_keep_store_schema(ray_session, tmp_path):
-    from dygiepp_ray.state.kgstore import _empty_store_df, kg_lookup
+    from dygiepp_ray.state.kgstore import STORE_SCHEMA, kg_lookup
 
     nb = 16
     rows = pd.DataFrame({"subj": ["alpha", "beta"], "pred": ["p", "q"],
@@ -423,7 +424,7 @@ def test_kg_lookup_empty_results_keep_store_schema(ray_session, tmp_path):
     buckets = stable_bucket(names, nb)
     in_written = next(n for n, b in zip(names, buckets) if b in written)
     in_empty = next(n for n, b in zip(names, buckets) if b not in written)
-    want = _empty_store_df()
+    want = STORE_SCHEMA.empty_table().to_pandas()
     for subject in (in_written, in_empty):
         got = kg_lookup(path, subject)
         assert len(got) == 0

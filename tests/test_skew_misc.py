@@ -73,12 +73,17 @@ def test_hot_surface_canonicalization_exact(ray_session):
 def test_canonicalize_empty_buckets_keep_entity_schema(ray_session):
     """One surface lands in one of the 4 auto phase-2 buckets on the
     4-CPU session; the 3 empty buckets must still emit ENTITY_SCHEMA,
-    and the counts must equal a pandas groupby."""
+    and the counts must equal a pandas groupby.  A zero-block input
+    comes back as ENTITY_SCHEMA too."""
     import ray
 
     from dygiepp_ray.stages.canonicalize import ENTITY_SCHEMA, canonicalize
 
-    # every doc's mentions in one block (doc_local_batches invariant)
+    def blocks_of(ds):
+        return [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+                for ref, _ in bundle.blocks]
+
+    # every doc's mentions in one block (canonicalize's block invariant)
     docs = [
         pd.DataFrame({"doc_key": [f"d{i}"] * (1 + i % 3),
                       "surface": ["Spark", "spark", "SPARK"][: 1 + i % 3],
@@ -86,8 +91,7 @@ def test_canonicalize_empty_buckets_keep_entity_schema(ray_session):
         for i in range(40)
     ]
     ds = canonicalize(rd.from_pandas(docs))
-    blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
-              for ref, _ in bundle.blocks]
+    blocks = blocks_of(ds)
     assert len(blocks) == 4
     assert sum(b.num_rows == 0 for b in blocks) == 3
     assert all(b.schema == ENTITY_SCHEMA for b in blocks)
@@ -96,6 +100,8 @@ def test_canonicalize_empty_buckets_keep_entity_schema(ray_session):
         n_mentions=("doc_key", "size"), n_docs=("doc_key", "nunique"))
     got = ds.to_pandas().set_index(["surface", "label"])
     assert got[["n_mentions", "n_docs"]].equals(want)
+    none = blocks_of(canonicalize(rd.from_arrow(pa.Table.from_pandas(docs[0])).limit(0)))
+    assert none and all(b.num_rows == 0 and b.schema == ENTITY_SCHEMA for b in none)
 
 
 def test_fuzzy_join_titles(ray_session):
